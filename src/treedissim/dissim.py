@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_index_key, format_rational, parse_index_entries, parse_rational
 from .tropical import Verdict, four_point_check, max_twice, three_term_plucker_check
 from .trees import DistanceMatrix, WeightedTree, reconstruct_tree
 
@@ -50,6 +50,9 @@ class DissimTensor:
     def __post_init__(self) -> None:
         if not 2 <= self.m <= self.n:
             raise ValueError(f"need 2 <= m <= n, got m={self.m}, n={self.n}")
+        count = comb(self.n, self.m)
+        if len(self.entries) != count:
+            raise ValueError(f"need {count} entries for the {self.m}-subsets of 1..{self.n}, got {len(self.entries)}")
         expected = set(combinations(range(1, self.n + 1), self.m))
         if set(self.entries) != expected:
             bad = sorted(set(self.entries) ^ expected)[:3]
@@ -68,9 +71,7 @@ class DissimTensor:
         return {
             "n": self.n,
             "m": self.m,
-            "entries": {
-                ",".join(map(str, key)): format_rational(v) for key, v in self.entries.items()
-            },
+            "entries": {format_index_key(key): format_rational(v) for key, v in self.entries.items()},
         }
 
     @classmethod
@@ -80,14 +81,8 @@ class DissimTensor:
         n, m = obj["n"], obj["m"]
         if not (isinstance(n, int) and isinstance(m, int)):
             raise ValueError("'n' and 'm' must be integers")
-        entries = {}
-        for key, val in obj["entries"].items():
-            idx = tuple(int(p) for p in key.split(","))
-            if list(idx) != sorted(set(idx)) or len(idx) != m:
-                raise ValueError(f"bad subset key {key!r}: need {m} strictly increasing indices")
-            if idx[0] < 1 or idx[-1] > n:
-                raise ValueError(f"subset key {key!r} out of range 1..{n}")
-            entries[idx] = parse_rational(val)
+        # __post_init__ checks that the keys are exactly the m-subsets.
+        entries = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj["entries"])}
         return cls(n, m, entries)
 
 
@@ -107,6 +102,9 @@ class PairingPoint:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError("pairing coordinates need n >= 4")
+        count = comb(self.n, 2) * comb(self.n - 2, 2)
+        if len(self.entries) != count:
+            raise ValueError(f"need {count} entries for the ordered disjoint pair-pairs of 1..{self.n}, got {len(self.entries)}")
         expected = set(_pair_pairs(self.n))
         if set(self.entries) != expected:
             bad = sorted(set(self.entries) ^ expected)[:3]
@@ -122,7 +120,7 @@ class PairingPoint:
         return {
             "n": self.n,
             "entries": {
-                f"{p[0]},{p[1]};{q[0]},{q[1]}": format_rational(v)
+                f"{format_index_key(p)};{format_index_key(q)}": format_rational(v)
                 for (p, q), v in self.entries.items()
             },
         }
@@ -132,16 +130,10 @@ class PairingPoint:
         if not isinstance(obj, dict) or not {"n", "entries"} <= set(obj):
             raise ValueError("pairing JSON needs keys 'n' and 'entries'")
         n = obj["n"]
-        entries = {}
-        for key, val in obj["entries"].items():
-            halves = key.split(";")
-            if len(halves) != 2:
-                raise ValueError(f"bad pairing key {key!r}")
-            p = tuple(int(x) for x in halves[0].split(","))
-            q = tuple(int(x) for x in halves[1].split(","))
-            if len(p) != 2 or len(q) != 2 or p[0] >= p[1] or q[0] >= q[1] or set(p) & set(q):
-                raise ValueError(f"bad pairing key {key!r}: need disjoint sorted pairs")
-            entries[(p, q)] = parse_rational(val)
+        if not isinstance(n, int):
+            raise ValueError("'n' must be an integer")
+        # __post_init__ checks that the keys are exactly the ordered disjoint pair-pairs.
+        entries = {key: parse_rational(val) for key, val in parse_index_entries(obj["entries"], groups=2)}
         return cls(n, entries)
 
 
@@ -690,16 +682,13 @@ def verify_m4_characterization(D: DistanceMatrix) -> M4Report:
 # Short operator-style synonyms
 
 PiPoint = PairingPoint
-
-
-def phi_m(D: DistanceMatrix, m: int, method: str = "auto", dp_threshold: int = 6) -> DissimTensor:
-    """Short name for :func:`dissimilarity_map`."""
-    return dissimilarity_map(D, m, method=method, dp_threshold=dp_threshold)
-
-
-def phi_3(D: DistanceMatrix) -> DissimTensor:
-    """Short name for :func:`triple_dissimilarity`."""
-    return triple_dissimilarity(D)
+phi_m = dissimilarity_map
+phi_3 = triple_dissimilarity
+invert3 = invert_triple_dissimilarity
+membership3 = triple_membership
+pi4 = pairing_map
+in_L = pairing_agreement
+p_project = project_pairings
 
 
 def phi_m_with_argmin(
@@ -710,28 +699,3 @@ def phi_m_with_argmin(
     if len(subset) != m:
         raise ValueError(f"subset has {len(subset)} elements, expected m={m}")
     return tour_minimizers(D, subset)
-
-
-def invert3(W: DissimTensor, method: str = "formula") -> DistanceMatrix:
-    """Short name for :func:`invert_triple_dissimilarity`."""
-    return invert_triple_dissimilarity(W, method=method)
-
-
-def membership3(W: DissimTensor, cross_check: bool = True) -> Membership3Result:
-    """Short name for :func:`triple_membership`."""
-    return triple_membership(W, cross_check=cross_check)
-
-
-def pi4(D: DistanceMatrix) -> PairingPoint:
-    """Short name for :func:`pairing_map`."""
-    return pairing_map(D)
-
-
-def in_L(P: PairingPoint) -> Verdict:
-    """Short name for :func:`pairing_agreement`."""
-    return pairing_agreement(P)
-
-
-def p_project(P: PairingPoint) -> DissimTensor:
-    """Short name for :func:`project_pairings`."""
-    return project_pairings(P)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_index_key, format_rational, parse_index_entries, parse_rational
 from .tropical import Verdict
 from .trees import DistanceMatrix, WeightedTree, build_equidistant, distance_matrix, serialize_newick
 from .dissim import DissimTensor, reroot_ultrametric
@@ -172,9 +172,7 @@ class ValuationCertificate:
             "newick": self.newick,
             "tree_hash": self.tree_hash,
             "E": format_rational(self.e_value),
-            "edge_labels": {
-                ",".join(map(str, cluster)): label for cluster, label in self.edge_labels
-            },
+            "edge_labels": {format_index_key(cluster): label for cluster, label in self.edge_labels},
             "x_series": [p.to_json_obj() for p in self.x_series],
             "matrix": [[p.to_json_obj() for p in row] for row in self.matrix],
         }
@@ -184,10 +182,7 @@ class ValuationCertificate:
         needed = {"n", "newick", "tree_hash", "E", "edge_labels", "x_series", "matrix"}
         if not isinstance(obj, dict) or not needed <= set(obj):
             raise ValueError(f"certificate JSON needs keys {sorted(needed)}")
-        labels = tuple(
-            (tuple(int(x) for x in key.split(",")), int(v))
-            for key, v in obj["edge_labels"].items()
-        )
+        labels = tuple((cluster, int(v)) for (cluster,), v in parse_index_entries(obj["edge_labels"]))
         return cls(
             n=obj["n"],
             newick=obj["newick"],
@@ -370,25 +365,8 @@ def verify_certificate(cert: ValuationCertificate, W: DissimTensor) -> Verdict:
 # Free-function synonyms for the polynomial operations
 
 Certificate3 = ValuationCertificate
-
-
-def val(p: PuiseuxPoly):
-    """Valuation (smallest exponent) of ``p``; +inf for zero."""
-    return p.val()
-
-
-def deg(p: PuiseuxPoly):
-    """Degree (largest exponent) of ``p``; -inf for zero."""
-    return p.deg()
-
-
-def add(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
-    return p + q
-
-
-def sub(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
-    return p - q
-
-
-def mul(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
-    return p * q
+val = PuiseuxPoly.val
+deg = PuiseuxPoly.deg
+add = PuiseuxPoly.__add__
+sub = PuiseuxPoly.__sub__
+mul = PuiseuxPoly.__mul__

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .rationals import format_rational
+from .rationals import format_index_key, format_rational, parse_index_entries, parse_rational
 from .tropical import Verdict, four_point_check, is_ultrametric
 
 
@@ -154,6 +155,8 @@ class DistanceMatrix:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("a distance matrix needs n >= 2")
+        if len(self.entries) != comb(self.n, 2):
+            raise ValueError(f"need {comb(self.n, 2)} entries for the pairs i<j from 1..{self.n}, got {len(self.entries)}")
         expected = set(combinations(range(1, self.n + 1), 2))
         keys = set(self.entries)
         if keys != expected:
@@ -182,27 +185,18 @@ class DistanceMatrix:
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
-            "entries": {f"{i},{j}": format_rational(v) for (i, j), v in self.entries.items()},
+            "entries": {format_index_key(key): format_rational(v) for key, v in self.entries.items()},
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DistanceMatrix":
-        from .rationals import parse_rational
-
         if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
             raise ValueError("distance matrix JSON needs keys 'n' and 'entries'")
         n = obj["n"]
         if not isinstance(n, int):
             raise ValueError("'n' must be an integer")
-        entries = {}
-        for key, val in obj["entries"].items():
-            parts = key.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"bad pair key {key!r}")
-            i, j = (int(p) for p in parts)
-            if not 1 <= i < j <= n:
-                raise ValueError(f"pair key {key!r} must satisfy 1 <= i < j <= n")
-            entries[(i, j)] = parse_rational(val)
+        # __post_init__ checks that the keys are exactly the pairs i<j.
+        entries = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj["entries"])}
         return cls(n, entries)
 
 

@@ -11,6 +11,7 @@ from treedissim import (
     DistanceMatrix,
     ValuationCertificate,
     distance_matrix,
+    format_rational,
     parse_newick,
     random_tree,
     same_tree,
@@ -60,6 +61,11 @@ def tensor6_file(tmp_path):
 @pytest.fixture
 def bumped5_file(tmp_path, bumped5):
     return write_json(tmp_path, "bump5.json", bumped5.to_json_obj())
+
+
+@pytest.fixture
+def points3_file(tmp_path):
+    return write_json(tmp_path, "d3.json", {"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1"}})
 
 
 class TestDissim:
@@ -145,17 +151,36 @@ class TestCheck:
         obj = json.loads(capsys.readouterr().out)
         assert obj["witness"] == [1, 2, 4, 5]
 
-    def test_jobs_same_verdict(self, metric6_file, capsys):
-        main(["check", metric6_file, "--metric"])
+    @pytest.mark.parametrize(
+        "fixture,flags,code",
+        [
+            ("metric6_file", ["--metric"], 0),
+            ("bumped5_file", ["--metric"], 1),
+            ("points3_file", ["--metric", "--strict"], 0),
+            ("tensor6_file", ["--tmn", "3"], 0),
+        ],
+        ids=["metric6", "bumped5", "points3-strict", "tensor6-tmn"],
+    )
+    def test_jobs_same_verdict(self, request, fixture, flags, code, capsys):
+        path = request.getfixturevalue(fixture)
+        assert main(["check", path, *flags]) == code
         serial = capsys.readouterr().out
-        assert main(["check", metric6_file, "--metric", "--jobs", "2"]) == 0
+        assert main(["check", path, *flags, "--jobs", "2"]) == code
         assert capsys.readouterr().out == serial
 
-    def test_jobs_same_witness_on_failure(self, bumped5_file, capsys):
-        main(["check", bumped5_file, "--metric"])
-        serial = capsys.readouterr().out
-        assert main(["check", bumped5_file, "--metric", "--jobs", "2"]) == 1
-        assert capsys.readouterr().out == serial
+    @pytest.mark.parametrize(
+        "obj,flag",
+        [
+            ({"n": 4, "entries": []}, "--metric"),
+            ({"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1, 2": "7"}}, "--ultra"),
+        ],
+        ids=["entries-list", "noncanonical-key"],
+    )
+    def test_malformed_entries_is_usage_error(self, tmp_path, obj, flag, capsys):
+        path = write_json(tmp_path, "bad.json", obj)
+        assert main(["check", path, flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "no-such-file.json", "--metric"]) == 2
@@ -218,6 +243,27 @@ class TestCertify3:
         assert main(["certify3", "--tree", tree6_file, "--out", str(b), "--jobs", "3"]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_failure_verdict(self, tree6_file, monkeypatch, capsys):
+        # Compare the certificate against a tensor with one entry bumped:
+        # the failure names the first differing triple as (got, want).
+        def bumped(D):
+            w = triple_dissimilarity(D)
+            entries = dict(w.entries)
+            entries[(2, 4, 5)] += 1
+            return DissimTensor(w.n, 3, entries)
+
+        monkeypatch.setattr("treedissim.cli.triple_dissimilarity", bumped)
+        assert main(["certify3", "--tree", tree6_file]) == 1
+        captured = capsys.readouterr()
+        true = triple_dissimilarity(distance_matrix(random_tree(6, seed=3))).entries[(2, 4, 5)]
+        assert json.loads(captured.out) == {
+            "check": "certificate",
+            "pass": False,
+            "witness": [2, 4, 5],
+            "values": [format_rational(true), format_rational(true + 1)],
+        }
+        assert captured.err.startswith("certificate: FAIL at (2, 4, 5)")
+
 
 class TestGenerators:
     def test_random_tree_deterministic(self, capsys):
@@ -258,6 +304,10 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_jobs_below_one_is_usage_error(self, metric6_file, capsys):
+        assert main(["check", metric6_file, "--metric", "--jobs", "0"]) == 2
+        assert "argument --jobs: must be an integer >= 1" in capsys.readouterr().err
 
     def test_malformed_newick(self, tmp_path, capsys):
         p = tmp_path / "bad.nwk"

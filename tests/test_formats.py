@@ -13,6 +13,8 @@ from treedissim import (
     DissimTensor,
     DistanceMatrix,
     PairingPoint,
+    ValuationCertificate,
+    build_certificate,
     dissimilarity_map,
     format_rational,
     pairing_map,
@@ -82,6 +84,10 @@ class TestDistanceMatrixJson:
             {"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1,1": "0"}},
             {"n": 3, "entries": {"2,1": "1", "1,3": "1", "2,3": "1"}},
             {"n": 3, "entries": {"1,2": "x", "1,3": "1", "2,3": "1"}},
+            {"n": 4, "entries": []},
+            {"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1, 2": "7"}},
+            {"n": 3, "entries": {"01,2": "1", "1,3": "1", "2,3": "1"}},
+            {"n": 3, "entries": {"1,2,": "1", "1,3": "1", "2,3": "1"}},
         ],
     )
     def test_malformed_rejected(self, obj):
@@ -112,6 +118,10 @@ class TestDissimTensorJson:
             DissimTensor.from_json_obj({"n": 4, "entries": {}})
         with pytest.raises(ValueError):
             DissimTensor.from_json_obj({"n": 4, "m": 3, "entries": {"1,2": "1"}})
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            DissimTensor.from_json_obj({"n": 4, "m": 3, "entries": [["1,2,3", "1"]]})
+        with pytest.raises(ValueError, match="bad index key"):
+            DissimTensor.from_json_obj({"n": 4, "m": 3, "entries": {"1,2,+3": "1"}})
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -142,3 +152,35 @@ class TestPairingPointJson:
             PairingPoint.from_json_obj({"n": 4, "entries": {"1,2;3,4": "bad-key"}})
         with pytest.raises(ValueError):
             PairingPoint.from_json_obj({"n": 4, "entries": {}})
+        with pytest.raises(ValueError, match="bad index key"):
+            PairingPoint.from_json_obj({"n": 4, "entries": {"1,2; 3,4": "1"}})
+
+
+class TestCertificateJson:
+    def test_edge_label_keys_are_canonical(self, quartet):
+        obj = build_certificate(quartet).to_json_obj()
+        assert ValuationCertificate.from_json_obj(obj) == build_certificate(quartet)
+        key = next(iter(obj["edge_labels"]))
+        obj["edge_labels"][" " + key] = obj["edge_labels"].pop(key)
+        with pytest.raises(ValueError, match="bad index key"):
+            ValuationCertificate.from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "module,cls,obj,count",
+    [
+        ("trees", DistanceMatrix, {"n": 60, "entries": {}}, 1770),
+        ("dissim", DissimTensor, {"n": 60, "m": 3, "entries": {}}, 34220),
+        ("dissim", PairingPoint, {"n": 60, "entries": {}}, 2925810),
+    ],
+    ids=["matrix", "tensor", "pairing"],
+)
+def test_size_checked_before_key_set(monkeypatch, module, cls, obj, count):
+    # The claimed n is checked against the entry count before the
+    # expected key set, whose size the input does not bound, is built.
+    def no_key_set(*args):
+        raise AssertionError("built the expected key set before checking the entry count")
+
+    monkeypatch.setattr(f"treedissim.{module}.combinations", no_key_set)
+    with pytest.raises(ValueError, match=f"need {count} entries"):
+        cls.from_json_obj(obj)

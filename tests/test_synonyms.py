@@ -1,12 +1,35 @@
-"""The compact operator names delegate to the descriptive API."""
+"""The compact operator names are aliases of the descriptive API."""
 
 from fractions import Fraction
 
 import pytest
 
 import treedissim as td
+from treedissim import puiseux
 
 F = Fraction
+
+
+@pytest.mark.parametrize(
+    "alias,target",
+    [
+        (td.phi_m, td.dissimilarity_map),
+        (td.phi_3, td.triple_dissimilarity),
+        (td.invert3, td.invert_triple_dissimilarity),
+        (td.membership3, td.triple_membership),
+        (td.pi4, td.pairing_map),
+        (td.in_L, td.pairing_agreement),
+        (td.p_project, td.project_pairings),
+        (puiseux.val, td.PuiseuxPoly.val),
+        (puiseux.deg, td.PuiseuxPoly.deg),
+        (puiseux.add, td.PuiseuxPoly.__add__),
+        (puiseux.sub, td.PuiseuxPoly.__sub__),
+        (puiseux.mul, td.PuiseuxPoly.__mul__),
+    ],
+    ids=["phi_m", "phi_3", "invert3", "membership3", "pi4", "in_L", "p_project", "val", "deg", "add", "sub", "mul"],
+)
+def test_short_name_is_alias(alias, target):
+    assert alias is target
 
 
 def test_phi_m_matches_dissimilarity_map(quartet_dm):
