@@ -33,7 +33,6 @@ from .dissim import (
     subset_dissimilarity,
     triple_dissimilarity,
     triple_membership,
-    verify_m4_characterization,
 )
 from .puiseux import CertificateError, build_certificate, verify_certificate
 from .rationals import format_rational
@@ -78,12 +77,18 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_matrix(path: str) -> DistanceMatrix:
-    return DistanceMatrix.from_json_obj(json.loads(_read(path)))
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
-def _load_tensor(path: str) -> DissimTensor:
-    return DissimTensor.from_json_obj(json.loads(_read(path)))
+def _load(cls, path: str):
+    """Read a ``DistanceMatrix`` or ``DissimTensor`` JSON file."""
+    return cls.from_json_obj(json.loads(_read(path), object_pairs_hook=_unique_keys))
 
 
 def _jobs(text: str) -> int:
@@ -164,35 +169,24 @@ def _cmd_dissim(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.tmn is not None:
-        W = _load_tensor(args.file)
+        W = _load(DissimTensor, args.file)
         if W.m != args.tmn:
             raise ValueError(f"tensor file has m={W.m}, but --tmn asked for m={args.tmn}")
         return _print_verdict("three-term-relations", three_term_plucker_check(W), {"m": W.m, "n": W.n})
+    D = _load(DistanceMatrix, args.file)
     if args.m4:
-        D = _load_matrix(args.file)
-        report = verify_m4_characterization(D)
-        if not report.all_equivalent:
-            raise RuntimeError("pairing-coordinate equivalence broke; please report")
-        verdict = Verdict(True)
-        for q in report.quadruples:
-            if not q.coordinates_equal:
-                verdict = Verdict(False, witness=q.quadruple, values=q.sums)
-                break
-        agreeing = sum(1 for q in report.quadruples if q.coordinates_equal)
-        return _print_verdict(
-            "pairing-agreement",
-            verdict,
-            {"quadruples": len(report.quadruples), "agreeing": agreeing},
-        )
+        # The pairing coordinates of a quadruple agree exactly when the
+        # maximum pairing sum is attained twice (verify_m4_characterization
+        # checks that equivalence), so the strict four-point scan decides.
+        verdict = four_point_check(D, strict=True)
+        return _print_verdict("pairing-agreement", verdict, {"quadruples": comb(D.n, 4)})
     if args.ultra:
-        D = _load_matrix(args.file)
         return _print_verdict("ultrametric", is_ultrametric(D))
-    D = _load_matrix(args.file)
     return _print_verdict("four-point", four_point_check(D, strict=args.strict), {"strict": args.strict})
 
 
 def _cmd_membership3(args) -> int:
-    W = _load_tensor(args.tensor)
+    W = _load(DissimTensor, args.tensor)
     result = triple_membership(W)
     obj: dict = {"member": result.is_member, "stage": result.stage}
     if result.is_member:
@@ -235,7 +229,7 @@ def _cmd_count_topologies(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    D = _load_matrix(args.file)
+    D = _load(DistanceMatrix, args.file)
     try:
         tree = reconstruct_tree(D)
     except FourPointViolation as exc:

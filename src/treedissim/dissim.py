@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .rationals import format_index_key, format_rational, parse_index_entries, parse_rational
 from .tropical import Verdict, four_point_check, max_twice, three_term_plucker_check
-from .trees import DistanceMatrix, WeightedTree, reconstruct_tree
+from .trees import DistanceMatrix, FourPointViolation, WeightedTree, reconstruct_tree
 
 
 class InversionError(Exception):
@@ -208,18 +208,18 @@ def _min_tour_dp_int(e: list[list[int]]) -> int:
     return min(dp[full][j] + e[j][0] for j in range(1, m))
 
 
-def subset_dissimilarity(
-    D: DistanceMatrix,
-    subset: Iterable[int],
-    method: str = "auto",
-    dp_threshold: int = 6,
-) -> Fraction:
+# Subset size above which method="auto" runs the DP instead of the tours.
+_DP_THRESHOLD = 6
+
+
+def subset_dissimilarity(D: DistanceMatrix, subset: Iterable[int], method: str = "auto") -> Fraction:
     """Half the minimum closed-tour sum over cyclic orders of ``subset``.
 
     ``method`` selects the evaluator: "tours" enumerates the (m-1)!/2
     tours up to reversal, "dp" runs a bitmask dynamic program
-    over sub-subsets, "auto" switches to the DP above ``dp_threshold``.
-    Both evaluators are exact and agree on every input.
+    over sub-subsets, "auto" switches to the DP for subsets larger than
+    ``_DP_THRESHOLD`` (6).  Both evaluators are exact and agree on every
+    input.
     """
     subset = tuple(sorted(subset))
     m = len(subset)
@@ -231,7 +231,7 @@ def subset_dissimilarity(
         return D.get(subset[0], subset[1])
     e, denom = _scaled_submatrix(D, subset)
     if method == "auto":
-        method = "tours" if m <= dp_threshold else "dp"
+        method = "tours" if m <= _DP_THRESHOLD else "dp"
     if method == "tours":
         best = _min_tour_int(e)
     elif method == "dp":
@@ -241,15 +241,13 @@ def subset_dissimilarity(
     return Fraction(best, 2 * denom)
 
 
-def dissimilarity_map(
-    D: DistanceMatrix, m: int, method: str = "auto", dp_threshold: int = 6
-) -> DissimTensor:
+def dissimilarity_map(D: DistanceMatrix, m: int, method: str = "auto") -> DissimTensor:
     """The m-subset dissimilarity tensor of a distance matrix."""
     n = D.n
     if not 2 <= m <= n:
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
     entries = {
-        subset: subset_dissimilarity(D, subset, method, dp_threshold)
+        subset: subset_dissimilarity(D, subset, method)
         for subset in combinations(range(1, n + 1), m)
     }
     return DissimTensor(n, m, entries)
@@ -490,14 +488,13 @@ def _check_plucker_fails_with_any_anchor(W: DissimTensor, quad: tuple) -> None:
             )
 
 
-def triple_membership(W: DissimTensor, cross_check: bool = True) -> Membership3Result:
+def triple_membership(W: DissimTensor) -> Membership3Result:
     """Decide whether an m=3 tensor is the triple dissimilarity of a tree.
 
     Inverts the linear system, then applies the strict four-point check
-    to the preimage.  With ``cross_check`` the verdict is corroborated:
-    members must pass the three-term relations, and a four-point failure
-    must reproduce as an anchored three-term failure for every choice of
-    fifth index.
+    to the preimage.  The verdict is corroborated: members must pass the
+    three-term relations, and a four-point failure must reproduce as an
+    anchored three-term failure for every choice of fifth index.
     """
     if W.m != 3:
         raise ValueError("membership needs an m=3 tensor")
@@ -511,26 +508,24 @@ def triple_membership(W: DissimTensor, cross_check: bool = True) -> Membership3R
         )
     verdict = four_point_check(X, strict=True)
     if not verdict:
-        if cross_check:
-            _check_plucker_fails_with_any_anchor(W, verdict.witness)
+        _check_plucker_fails_with_any_anchor(W, verdict.witness)
         return Membership3Result(
             False, "four_point", matrix=X, witness=verdict.witness, values=verdict.values
         )
     tree = None
     note = None
-    if four_point_check(X, strict=False):
+    try:
         tree = reconstruct_tree(X)
-    else:
+    except FourPointViolation:
         note = (
             "preimage satisfies the four-point condition on distinct quadruples "
             "but is not a non-negative metric; no tree realization emitted"
         )
-    if cross_check:
-        pv = three_term_plucker_check(W)
-        if not pv:
-            raise RuntimeError(
-                f"internal inconsistency: member tensor fails three-term relations at {pv.witness}"
-            )
+    pv = three_term_plucker_check(W)
+    if not pv:
+        raise RuntimeError(
+            f"internal inconsistency: member tensor fails three-term relations at {pv.witness}"
+        )
     return Membership3Result(True, "ok", matrix=X, tree=tree, note=note)
 
 

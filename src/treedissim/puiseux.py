@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .rationals import format_index_key, format_rational, parse_index_entries, parse_rational
 from .tropical import Verdict
-from .trees import DistanceMatrix, WeightedTree, build_equidistant, distance_matrix, serialize_newick
+from .trees import WeightedTree, _rooted, build_equidistant, distance_matrix, serialize_newick
 from .dissim import DissimTensor, reroot_ultrametric
 
 
@@ -123,6 +123,8 @@ class PuiseuxPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Sequence) -> "PuiseuxPoly":
+        if not isinstance(obj, list) or not all(isinstance(t, list) and len(t) == 2 for t in obj):
+            raise ValueError("a series must be a list of [exponent, coefficient] pairs")
         return cls.from_terms((parse_rational(q), parse_rational(c)) for q, c in obj)
 
 
@@ -182,17 +184,30 @@ class ValuationCertificate:
         needed = {"n", "newick", "tree_hash", "E", "edge_labels", "x_series", "matrix"}
         if not isinstance(obj, dict) or not needed <= set(obj):
             raise ValueError(f"certificate JSON needs keys {sorted(needed)}")
-        labels = tuple((cluster, int(v)) for (cluster,), v in parse_index_entries(obj["edge_labels"]))
+        n, series, rows = obj["n"], obj["x_series"], obj["matrix"]
+        if not isinstance(n, int) or n < 3:
+            raise ValueError(f"'n' must be an integer >= 3, got {n!r}")
+        if not (
+            isinstance(series, list)
+            and len(series) == n
+            and isinstance(rows, list)
+            and len(rows) == 3
+            and all(isinstance(row, list) and len(row) == n for row in rows)
+        ):
+            raise ValueError(f"certificate needs {n} x_series and a 3x{n} matrix")
+        labels = []
+        for (cluster,), v in parse_index_entries(obj["edge_labels"]):
+            if not isinstance(v, int):
+                raise ValueError(f"edge label of {format_index_key(cluster)!r} must be an integer, got {v!r}")
+            labels.append((cluster, v))
         return cls(
-            n=obj["n"],
+            n=n,
             newick=obj["newick"],
             tree_hash=obj["tree_hash"],
             e_value=parse_rational(obj["E"]),
-            edge_labels=labels,
-            x_series=tuple(PuiseuxPoly.from_json_obj(p) for p in obj["x_series"]),
-            matrix=tuple(
-                tuple(PuiseuxPoly.from_json_obj(p) for p in row) for row in obj["matrix"]
-            ),
+            edge_labels=tuple(labels),
+            x_series=tuple(PuiseuxPoly.from_json_obj(p) for p in series),
+            matrix=tuple(tuple(PuiseuxPoly.from_json_obj(p) for p in row) for row in rows),
         )
 
     def to_json(self) -> str:
@@ -201,111 +216,6 @@ class ValuationCertificate:
     @classmethod
     def from_json(cls, text: str) -> "ValuationCertificate":
         return cls.from_json_obj(json.loads(text))
-
-
-def _rooted_edges(tree: WeightedTree, root: int) -> tuple[list[tuple[int, int]], dict[int, int]]:
-    """Edges (parent, child) in depth-first order with children ordered by
-    smallest descendant leaf, plus the parent map."""
-    from .trees import _min_leaf_below
-
-    memo: dict = {}
-    parent: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    stack: list[tuple[int, int | None]] = [(root, None)]
-    while stack:
-        node, par = stack.pop()
-        if par is not None:
-            edges.append((par, node))
-        kids = [v for v in tree.adj[node] if v != par]
-        kids.sort(key=lambda v: _min_leaf_below(tree, v, node, memo), reverse=True)
-        for child in kids:
-            parent[child] = node
-            stack.append((child, node))
-    return edges, parent
-
-
-def _leaves_below(tree: WeightedTree, child: int, parent: int) -> tuple[int, ...]:
-    found = []
-    stack = [(child, parent)]
-    while stack:
-        node, par = stack.pop()
-        if node <= tree.n:
-            found.append(node)
-        for v in tree.adj[node]:
-            if v != par:
-                stack.append((v, node))
-    return tuple(sorted(found))
-
-
-def _assemble(
-    tree: WeightedTree,
-    D: DistanceMatrix,
-    E: Fraction,
-    shifted: DistanceMatrix,
-    eq: WeightedTree,
-    labels: Sequence[int],
-    check_degrees: bool = True,
-) -> ValuationCertificate:
-    n = tree.n
-    root = eq.root
-    dist_root: dict[int, Fraction] = {root: Fraction(0)}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v, w in eq.adj[u].items():
-            if v not in dist_root:
-                dist_root[v] = dist_root[u] + w
-                stack.append(v)
-    F = dist_root[1]
-    height = {v: F - d for v, d in dist_root.items()}
-    edges, parent = _rooted_edges(eq, root)
-    if len(labels) != len(edges):
-        raise CertificateError(f"need {len(edges)} edge labels, got {len(labels)}")
-    label_of = dict(zip(edges, labels))
-
-    x: list[PuiseuxPoly] = []
-    for leaf in range(1, n):
-        terms = []
-        node = leaf
-        while node != root:
-            par = parent[node]
-            terms.append((2 * height[par], Fraction(label_of[(par, node)])))
-            node = par
-        x.append(PuiseuxPoly.from_terms(terms))
-    x.append(PuiseuxPoly.monomial(1, 2 * E))
-
-    if check_degrees:
-        for i, j in combinations(range(1, n + 1), 2):
-            got = (x[j - 1] - x[i - 1]).deg()
-            want = shifted.get(i, j)
-            if got != want:
-                raise CertificateError(
-                    f"degree check failed for pair ({i},{j}): deg {got} vs expected {want}"
-                )
-
-    sub = Fraction(-1, 2)
-    cols = []
-    for i in range(1, n + 1):
-        scale = PuiseuxPoly.monomial(1, 2 * (D.get(i, n) - E))
-        xi = x[i - 1]
-        pre = (scale, xi * scale, xi * xi * scale)
-        cols.append(tuple(p.substitute_power(sub) for p in pre))
-    matrix = tuple(tuple(cols[c][r] for c in range(n)) for r in range(3))
-
-    newick = serialize_newick(tree)
-    tree_hash = hashlib.sha256(newick.encode("utf-8")).hexdigest()
-    clusters = tuple(
-        (_leaves_below(eq, child, par), label_of[(par, child)]) for par, child in edges
-    )
-    return ValuationCertificate(
-        n=n,
-        newick=newick,
-        tree_hash=tree_hash,
-        e_value=E,
-        edge_labels=clusters,
-        x_series=tuple(x),
-        matrix=matrix,
-    )
 
 
 def build_certificate(
@@ -320,11 +230,13 @@ def build_certificate(
     (leaf n becomes t^(2E)); form the rows (1, x_i, x_i^2); scale column
     i by t^(2(D(i,n)-E)); substitute q -> -q/2.
 
-    Edge labels default to 1, 2, 3, ... in depth-first edge order, which
-    keeps sibling leading coefficients from cancelling; the degree
-    identity deg(x_j - x_i) = D'(i,j) is checked before the matrix is
-    assembled, with one relabeling retry against collisions.  Explicitly
-    supplied ``label_values`` are used as-is and raise on failure.
+    Edge labels default to 1, 2, 3, ... in depth-first edge order, with
+    children ordered by smallest leaf.  Distinct labels keep sibling
+    leading coefficients from cancelling, and 2h(root) = max D' < 2E
+    because leaf n's pendant edge is positive, so the defaults always
+    satisfy the degree identity deg(x_j - x_i) = D'(i,j).  The identity
+    is checked before the matrix is assembled: supplied ``label_values``
+    are used as-is and raise :class:`CertificateError` when they break it.
     """
     n = tree.n
     if n < 3:
@@ -335,15 +247,57 @@ def build_certificate(
     E = max(D.get(i, n) for i in range(1, n))
     shifted = reroot_ultrametric(D, E)
     eq = build_equidistant(shifted.restrict(range(1, n)))
-    edge_count = sum(len(nbrs) for nbrs in eq.adj.values()) // 2
-    if label_values is not None:
-        return _assemble(tree, D, E, shifted, eq, list(label_values))
-    try:
-        return _assemble(tree, D, E, shifted, eq, list(range(1, edge_count + 1)))
-    except CertificateError:
-        base = n + 2
-        fallback = [base ** (idx + 1) for idx in range(edge_count)]
-        return _assemble(tree, D, E, shifted, eq, fallback)
+    preorder, parent, kids = _rooted(eq, eq.root)
+    edges = [(parent[v], v) for v in preorder[1:]]
+    labels = list(range(1, len(edges) + 1) if label_values is None else label_values)
+    if len(labels) != len(edges):
+        raise CertificateError(f"need {len(edges)} edge labels, got {len(labels)}")
+    label_of = dict(zip(preorder[1:], labels))
+    depth = {eq.root: Fraction(0)}
+    for par, v in edges:
+        depth[v] = depth[par] + eq.adj[par][v]
+
+    x: list[PuiseuxPoly] = []
+    for leaf in range(1, n):
+        terms = []
+        node = leaf
+        while node != eq.root:
+            par = parent[node]
+            terms.append((2 * (depth[1] - depth[par]), label_of[node]))
+            node = par
+        x.append(PuiseuxPoly.from_terms(terms))
+    x.append(PuiseuxPoly.monomial(1, 2 * E))
+
+    for i, j in combinations(range(1, n + 1), 2):
+        got = (x[j - 1] - x[i - 1]).deg()
+        want = shifted.get(i, j)
+        if got != want:
+            raise CertificateError(
+                f"degree check failed for pair ({i},{j}): deg {got} vs expected {want}"
+            )
+
+    sub = Fraction(-1, 2)
+    cols = []
+    for i in range(1, n + 1):
+        scale = PuiseuxPoly.monomial(1, 2 * (D.get(i, n) - E))
+        xi = x[i - 1]
+        pre = (scale, xi * scale, xi * xi * scale)
+        cols.append(tuple(p.substitute_power(sub) for p in pre))
+    matrix = tuple(tuple(cols[c][r] for c in range(n)) for r in range(3))
+
+    leaves_below: dict[int, tuple[int, ...]] = {}
+    for v in reversed(preorder):
+        leaves_below[v] = tuple(sorted(leaf for k in kids[v] for leaf in leaves_below[k])) or (v,)
+    newick = serialize_newick(tree)
+    return ValuationCertificate(
+        n=n,
+        newick=newick,
+        tree_hash=hashlib.sha256(newick.encode("utf-8")).hexdigest(),
+        e_value=E,
+        edge_labels=tuple((leaves_below[v], label_of[v]) for v in preorder[1:]),
+        x_series=tuple(x),
+        matrix=matrix,
+    )
 
 
 def verify_certificate(cert: ValuationCertificate, W: DissimTensor) -> Verdict:

@@ -373,8 +373,14 @@ def parse_newick(text: str, rooted: bool = False) -> WeightedTree:
     decimals); missing lengths default to 0.  With ``rooted=False`` a
     degree-2 top node is suppressed (unrooted reading); with
     ``rooted=True`` the top node is kept and recorded as the root.
+    Nesting deeper than the recursive parser can follow (several hundred
+    levels) raises :class:`NewickError`.
     """
-    top = _NewickParser(text).parse()
+    try:
+        top = _NewickParser(text).parse()
+    except RecursionError:
+        # collect() and build() below take one frame per level, the parser two
+        raise NewickError("nesting is too deep to parse") from None
     if top.label is not None:
         raise NewickError("a tree needs at least two leaves")
 
@@ -426,18 +432,37 @@ def parse_newick(text: str, rooted: bool = False) -> WeightedTree:
     return WeightedTree(n, adj, root)
 
 
-def _min_leaf_below(tree: WeightedTree, node: int, parent: int | None, memo: dict) -> int:
-    key = (node, parent)
-    if key in memo:
-        return memo[key]
-    best = node if node <= tree.n else None
-    for v in tree.adj[node]:
-        if v != parent:
-            sub = _min_leaf_below(tree, v, node, memo)
-            if best is None or sub < best:
-                best = sub
-    memo[key] = best
-    return best
+def _rooted(
+    tree: WeightedTree, root: int
+) -> tuple[list[int], dict[int, int | None], dict[int, list[int]]]:
+    """Hang ``tree`` from ``root``: preorder, parent map and children.
+
+    ``kids[u]`` lists the children of u ordered by the smallest leaf
+    below each, and the preorder visits them in that order; this is the
+    one place that order is decided.  Iterative, so depth is unbounded.
+    """
+    parent: dict[int, int | None] = {root: None}
+    bfs = [root]
+    for u in bfs:
+        for v in tree.adj[u]:
+            if v != parent[u]:
+                parent[v] = u
+                bfs.append(v)
+    kids: dict[int, list[int]] = {u: [] for u in bfs}
+    low: dict[int, int] = {}
+    for u in reversed(bfs):
+        below = kids[u]
+        below.sort(key=low.__getitem__)
+        low[u] = min(u, low[below[0]]) if below else u
+        if parent[u] is not None:
+            kids[parent[u]].append(u)
+    preorder: list[int] = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        preorder.append(u)
+        stack.extend(reversed(kids[u]))
+    return preorder, parent, kids
 
 
 def serialize_newick(tree: WeightedTree) -> str:
@@ -454,19 +479,15 @@ def serialize_newick(tree: WeightedTree) -> str:
         return f"(1:0,2:{format_rational(tree.adj[1][2])});"
     else:
         start = next(iter(tree.adj[1]))
-    memo: dict = {}
-
-    def sub(node: int, parent: int | None) -> str:
-        kids = [v for v in tree.adj[node] if v != parent]
-        if not kids:
-            return str(node)
-        kids.sort(key=lambda v: _min_leaf_below(tree, v, node, memo))
-        inner = ",".join(
-            f"{sub(v, node)}:{format_rational(tree.adj[node][v])}" for v in kids
-        )
-        return f"({inner})"
-
-    return sub(start, None) + ";"
+    preorder, _, kids = _rooted(tree, start)
+    text: dict[int, str] = {}
+    for u in reversed(preorder):
+        if kids[u]:
+            inner = ",".join(f"{text.pop(v)}:{format_rational(tree.adj[u][v])}" for v in kids[u])
+            text[u] = f"({inner})"
+        else:
+            text[u] = str(u)
+    return text[start] + ";"
 
 
 # ---------------------------------------------------------------------------
@@ -490,32 +511,15 @@ def distance_matrix(tree: WeightedTree) -> DistanceMatrix:
     return DistanceMatrix(tree.n, entries)
 
 
-def _dfs_order(tree: WeightedTree, root: int) -> tuple[list[int], dict[int, int | None]]:
-    order: list[int] = []
-    parent: dict[int, int | None] = {root: None}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in sorted(tree.adj[u], reverse=True):
-            if v != parent[u]:
-                parent[v] = u
-                stack.append(v)
-    return order, parent
-
-
 def _steiner_edges(tree: WeightedTree, V: Iterable[int]) -> list[tuple[int, int]]:
     """Edges of the minimal subtree spanning leaf set V, as (child, parent)."""
     vbit = 0
     for leaf in V:
         vbit |= 1 << (leaf - 1)
-    root = next(iter(tree.adj))
-    order, parent = _dfs_order(tree, root)
+    order, parent, _ = _rooted(tree, next(iter(tree.adj)))
     below = {u: (1 << (u - 1)) if u <= tree.n else 0 for u in order}
-    for u in reversed(order):
-        p = parent[u]
-        if p is not None:
-            below[p] |= below[u]
+    for u in reversed(order[1:]):
+        below[parent[u]] |= below[u]
     picked = []
     for u in order[1:]:
         b = below[u] & vbit
@@ -556,16 +560,11 @@ def well_number(tree: WeightedTree, root: int) -> WellNumbering:
     """
     if root not in tree.adj:
         raise TreeError(f"root {root} is not a node of the tree")
-    memo: dict = {}
+    preorder, _, kids = _rooted(tree, root)
     alpha: dict[int, AlphaLabel] = {root: AlphaLabel(())}
-    stack = [(root, None)]
-    while stack:
-        node, parent = stack.pop()
-        kids = [v for v in tree.adj[node] if v != parent]
-        kids.sort(key=lambda v: _min_leaf_below(tree, v, node, memo))
-        for idx, child in enumerate(kids, start=1):
+    for node in preorder:
+        for idx, child in enumerate(kids[node], start=1):
             alpha[child] = alpha[node].child(idx)
-            stack.append((child, node))
     leaf_order = tuple(sorted(range(1, tree.n + 1), key=lambda l: alpha[l]))
     relabel = {leaf: rank + 1 for rank, leaf in enumerate(leaf_order)}
     return WellNumbering(alpha, leaf_order, relabel)

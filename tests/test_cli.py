@@ -146,10 +146,16 @@ class TestCheck:
     def test_tmn_wrong_m_is_usage_error(self, tensor6_file, capsys):
         assert main(["check", tensor6_file, "--tmn", "4"]) == 2
 
-    def test_m4(self, bumped5_file, capsys):
+    def test_m4(self, bumped5_file, points3_file, capsys):
         assert main(["check", bumped5_file, "--m4"]) == 1
         obj = json.loads(capsys.readouterr().out)
         assert obj["witness"] == [1, 2, 4, 5]
+        assert obj["values"] == ["3", "2", "2"]
+        assert obj["quadruples"] == 5
+        assert main(["check", points3_file, "--m4"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["quadruples"] == 0
+        assert obj["note"] == "no quadruple of distinct labels for n=3; vacuous"
 
     @pytest.mark.parametrize(
         "fixture,flags,code",
@@ -173,12 +179,17 @@ class TestCheck:
         [
             ({"n": 4, "entries": []}, "--metric"),
             ({"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1, 2": "7"}}, "--ultra"),
+            ('{"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1,2": "7"}}', "--ultra"),
         ],
-        ids=["entries-list", "noncanonical-key"],
+        ids=["entries-list", "noncanonical-key", "repeated-key"],
     )
     def test_malformed_entries_is_usage_error(self, tmp_path, obj, flag, capsys):
-        path = write_json(tmp_path, "bad.json", obj)
-        assert main(["check", path, flag]) == 2
+        if isinstance(obj, str):  # JSON text that json.dumps cannot produce
+            path = tmp_path / "bad.json"
+            path.write_text(obj)
+        else:
+            path = write_json(tmp_path, "bad.json", obj)
+        assert main(["check", str(path), flag]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -277,6 +288,8 @@ class TestGenerators:
     def test_random_tree_caterpillar(self, capsys):
         assert main(["random-tree", "--n", "5", "--seed", "0", "--shape", "caterpillar"]) == 0
         parse_newick(capsys.readouterr().out.strip())
+        assert main(["random-tree", "--n", "1200", "--seed", "0", "--shape", "caterpillar"]) == 0
+        assert capsys.readouterr().out.count("(") == 1198
 
     def test_count_topologies(self, capsys):
         assert main(["count-topologies", "--n", "5"]) == 0
@@ -314,3 +327,12 @@ class TestUsage:
         p.write_text("((1:1,2:1):1,3:1")
         assert main(["dissim", "--tree", str(p), "--m", "3"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_deep_newick_is_usage_error(self, tmp_path, capsys):
+        text = "(1:1,2:1)"
+        for leaf in range(3, 1202):
+            text = f"({text}:1,{leaf}:1)"
+        p = tmp_path / "deep.nwk"
+        p.write_text(text + ";\n")
+        assert main(["dissim", "--tree", str(p), "--m", "3"]) == 2
+        assert capsys.readouterr().err == "error: nesting is too deep to parse\n"

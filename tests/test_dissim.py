@@ -263,11 +263,6 @@ class TestTripleMembership:
         assert res.tree is None
         assert "non-negative" in res.note
 
-    def test_cross_check_can_be_disabled(self, bumped5):
-        res = triple_membership(triple_dissimilarity(bumped5), cross_check=False)
-        assert not res
-        assert res.stage == "four_point"
-
     def test_small_n_rejected(self, quartet_dm):
         with pytest.raises(ValueError):
             triple_membership(triple_dissimilarity(quartet_dm))

@@ -165,6 +165,23 @@ class TestCertificateJson:
         with pytest.raises(ValueError, match="bad index key"):
             ValuationCertificate.from_json_obj(obj)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n", "x"),
+            ("edge_labels", {"1,2": [1], "1": 2, "2": 3, "3": 4}),
+            ("x_series", [5]),
+            ("x_series", [5, 5, 5, 5]),
+            ("matrix", [[5]]),
+        ],
+        ids=["n-string", "label-list", "series-short", "series-ints", "matrix-short"],
+    )
+    def test_malformed_field_is_value_error(self, quartet, key, value):
+        obj = build_certificate(quartet).to_json_obj()
+        obj[key] = value
+        with pytest.raises(ValueError):
+            ValuationCertificate.from_json_obj(obj)
+
 
 @pytest.mark.parametrize(
     "module,cls,obj,count",

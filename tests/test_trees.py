@@ -1,6 +1,7 @@
 """Tree structures: Newick IO, distances, Steiner weights, contraction,
 well-numbering, generators, equidistant building and reconstruction."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -115,6 +116,12 @@ class TestSerializeNewick:
         t = parse_newick("((1:1,2:1):3,3:2);", rooted=True)
         assert serialize_newick(t) == "((1:1,2:1):3,3:2);"
 
+    def test_deep_caterpillar(self):
+        # 1500 nested groups: deeper than any recursive walk can go
+        text = serialize_newick(random_tree(1500, seed=0, shape="caterpillar"))
+        assert text.count("(") == 1498
+        assert sorted(map(int, re.findall(r"[(,](\d+):", text))) == list(range(1, 1501))
+
 
 class TestWeightedTreeValidation:
     def test_asymmetric_adjacency_rejected(self):
@@ -161,6 +168,8 @@ class TestSteinerWeight:
 
     def test_full_leaf_set_is_total_weight(self, quartet):
         assert steiner_weight(quartet, (1, 2, 3, 4)) == F(5)
+        deep = random_tree(1500, seed=0, shape="caterpillar")
+        assert steiner_weight(deep, range(1, 1501)) == deep.total_weight
 
     def test_singleton_rejected(self, quartet):
         with pytest.raises(ValueError):
@@ -225,12 +234,12 @@ class TestWellNumber:
         assert leaf_alphas == sorted(leaf_alphas)
 
     def test_relabel_ranks_leaf_order(self):
-        t = random_tree(7, seed=9)
-        root = max(t.nodes)
-        wn = well_number(t, root)
-        assert sorted(wn.relabel.values()) == list(range(1, 8))
-        for idx, leaf in enumerate(wn.leaf_order):
-            assert wn.relabel[leaf] == idx + 1
+        for n, shape in [(7, "uniform-topology"), (1500, "caterpillar")]:
+            t = random_tree(n, seed=9, shape=shape)
+            wn = well_number(t, max(t.nodes))
+            assert sorted(wn.relabel.values()) == list(range(1, n + 1))
+            for idx, leaf in enumerate(wn.leaf_order):
+                assert wn.relabel[leaf] == idx + 1
 
     def test_alpha_labels_strip_trailing_zeros(self):
         assert AlphaLabel((2, 0, 0)) == AlphaLabel((2,))
