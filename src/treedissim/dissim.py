@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
-from .rationals import format_index_key, format_rational, parse_index_entries, parse_rational
+from .rationals import checked_table, format_index_key, format_rational, parse_index_entries, parse_rational
 from .tropical import Verdict, four_point_check, max_twice, three_term_plucker_check
 from .trees import DistanceMatrix, FourPointViolation, WeightedTree, reconstruct_tree
 
@@ -50,14 +50,12 @@ class DissimTensor:
     def __post_init__(self) -> None:
         if not 2 <= self.m <= self.n:
             raise ValueError(f"need 2 <= m <= n, got m={self.m}, n={self.n}")
-        count = comb(self.n, self.m)
-        if len(self.entries) != count:
-            raise ValueError(f"need {count} entries for the {self.m}-subsets of 1..{self.n}, got {len(self.entries)}")
-        expected = set(combinations(range(1, self.n + 1), self.m))
-        if set(self.entries) != expected:
-            bad = sorted(set(self.entries) ^ expected)[:3]
-            raise ValueError(f"entries must cover exactly the {self.m}-subsets of 1..{self.n}; mismatch near {bad}")
-        self.entries = {k: Fraction(v) for k, v in sorted(self.entries.items())}
+        self.entries = checked_table(
+            self.entries,
+            [(self.n, self.m)],
+            lambda: combinations(range(1, self.n + 1), self.m),
+            f"{self.m}-subsets of 1..{self.n}",
+        )
 
     def value(self, subset: Iterable[int]) -> Fraction:
         key = tuple(sorted(subset))
@@ -102,14 +100,12 @@ class PairingPoint:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError("pairing coordinates need n >= 4")
-        count = comb(self.n, 2) * comb(self.n - 2, 2)
-        if len(self.entries) != count:
-            raise ValueError(f"need {count} entries for the ordered disjoint pair-pairs of 1..{self.n}, got {len(self.entries)}")
-        expected = set(_pair_pairs(self.n))
-        if set(self.entries) != expected:
-            bad = sorted(set(self.entries) ^ expected)[:3]
-            raise ValueError(f"entries must cover all ordered disjoint pair-pairs; mismatch near {bad}")
-        self.entries = {k: Fraction(v) for k, v in sorted(self.entries.items())}
+        self.entries = checked_table(
+            self.entries,
+            [(self.n, 2), (self.n - 2, 2)],
+            lambda: _pair_pairs(self.n),
+            f"ordered disjoint pair-pairs of 1..{self.n}",
+        )
 
     def get(self, first: Sequence[int], second: Sequence[int]) -> Fraction:
         a = tuple(sorted(first))

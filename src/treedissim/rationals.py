@@ -9,22 +9,42 @@ serialized as JSON objects keyed by ``"i,j,..."`` strings.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
+
+
+def _digit_limit() -> int:
+    """The interpreter's bound on int/str conversion (4300 digits by default)."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p"``, ``"p/q"`` or a terminating decimal into a Fraction."""
+    """Parse ``"p"``, ``"p/q"`` or a terminating decimal into a Fraction.
+
+    Raises ValueError for anything else, and for a value that
+    :func:`format_rational` could not write back.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"expected rational string, got {type(text).__name__}")
+    limit = _digit_limit()
     try:
-        return Fraction(text.strip())
+        _, exp_mark, exponent = text.lower().partition("e")
+        # Fraction would compute 10**exponent whatever its size
+        if exp_mark and abs(int(exponent)) > limit:
+            raise ValueError("exponent out of range")
+        value = Fraction(text.strip())
+        # a point or an exponent can outgrow the digits; 2**(3 * limit) < 10**limit
+        big = max(abs(value.numerator), value.denominator)
+        if big.bit_length() > 3 * limit and big >= 10**limit:
+            raise ValueError("too many digits to write back")
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+    return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -61,3 +81,39 @@ def parse_index_entries(entries, groups: int = 1) -> list[tuple[tuple[tuple[int,
             raise ValueError(f"bad index key {key!r}: need {groups} group(s) of comma-separated integers")
         out.append((idx, value))
     return out
+
+
+def _binomial_product(binomials: list[tuple[int, int]], cap: int) -> int | None:
+    """Product of C(a, b) over the pairs (a, b), b <= a, or None once it exceeds ``cap``.
+
+    Partial products only grow, so this stops within about log2(cap) steps.
+    """
+    count = 1
+    for a, b in binomials:
+        b = min(b, a - b)
+        for i in range(1, b + 1):
+            count = count * (a - b + i) // i
+            if count > cap:
+                return None
+    return count
+
+
+def checked_table(
+    entries: dict, binomials: list[tuple[int, int]], expected: Callable[[], Iterable], what: str
+) -> dict:
+    """Return ``entries`` as Fractions sorted by key, once its keys are
+    exactly those ``expected()`` yields: as many as the product of C(a, b)
+    over ``binomials``.  The count is checked first and computed no further
+    than the entries given, so a claimed size costs no more than the input.
+    ``what`` names the keys in messages.
+    """
+    got = len(entries)
+    if _binomial_product(binomials, got) != got:
+        limit = _digit_limit()
+        count = _binomial_product(binomials, 10**limit - 1)
+        need = f"at least 10**{limit}" if count is None else count
+        raise ValueError(f"need {need} entries for the {what}, got {got}")
+    keys, want = set(entries), set(expected())
+    if keys != want:
+        raise ValueError(f"entries must cover exactly the {what}; mismatch near {sorted(keys ^ want)[:3]}")
+    return {k: Fraction(v) for k, v in sorted(entries.items())}

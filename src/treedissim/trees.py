@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 from itertools import combinations
-from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .rationals import format_index_key, format_rational, parse_index_entries, parse_rational
+from .rationals import checked_table, format_index_key, format_rational, parse_index_entries, parse_rational
 from .tropical import Verdict, four_point_check, is_ultrametric
 
 
@@ -155,14 +154,12 @@ class DistanceMatrix:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("a distance matrix needs n >= 2")
-        if len(self.entries) != comb(self.n, 2):
-            raise ValueError(f"need {comb(self.n, 2)} entries for the pairs i<j from 1..{self.n}, got {len(self.entries)}")
-        expected = set(combinations(range(1, self.n + 1), 2))
-        keys = set(self.entries)
-        if keys != expected:
-            bad = sorted(keys ^ expected)[:3]
-            raise ValueError(f"entries must cover exactly the pairs i<j from 1..{self.n}; mismatch near {bad}")
-        self.entries = {k: Fraction(v) for k, v in sorted(self.entries.items())}
+        self.entries = checked_table(
+            self.entries,
+            [(self.n, 2)],
+            lambda: combinations(range(1, self.n + 1), 2),
+            f"pairs i<j from 1..{self.n}",
+        )
 
     def get(self, i: int, j: int) -> Fraction:
         if i == j:
@@ -270,164 +267,112 @@ class Contraction:
 # Newick
 
 
-_NUM_RE = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)")
-
-
-class _RawNode:
-    __slots__ = ("label", "children")
-
-    def __init__(self, label: int | None = None):
-        self.label = label
-        self.children: list[tuple["_RawNode", Fraction]] = []
-
-
-class _NewickParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str, position: int | None = None):
-        raise NewickError(message, self.pos if position is None else position)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> _RawNode:
-        self.skip_ws()
-        node, _ = self.parse_item()
-        self.skip_ws()
-        if self.peek() != ";":
-            self.error("expected ';'")
-        self.pos += 1
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("unexpected trailing characters")
-        return node
-
-    def parse_item(self) -> tuple[_RawNode, Fraction]:
-        self.skip_ws()
-        if self.peek() == "(":
-            node = self.parse_group()
-        else:
-            node = self.parse_leaf()
-        self.skip_ws()
-        weight = Fraction(0)
-        if self.peek() == ":":
-            self.pos += 1
-            weight = self.parse_number()
-        return node, weight
-
-    def parse_group(self) -> _RawNode:
-        start = self.pos
-        self.pos += 1  # consume '('
-        items = [self.parse_item()]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            items.append(self.parse_item())
-            self.skip_ws()
-        if self.peek() != ")":
-            self.error("expected ',' or ')'")
-        self.pos += 1
-        if len(items) < 2:
-            self.error("a group needs at least two children", start)
-        node = _RawNode()
-        node.children = items
-        return node
-
-    def parse_leaf(self) -> _RawNode:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a leaf label or '('")
-        label = int(self.text[start : self.pos])
-        if label < 1:
-            self.error("leaf labels must be positive integers", start)
-        return _RawNode(label)
-
-    def parse_number(self) -> Fraction:
-        self.skip_ws()
-        match = _NUM_RE.match(self.text, self.pos)
-        if match is None:
-            self.error("expected a branch length")
-        start = self.pos
-        self.pos = match.end()
-        try:
-            value = Fraction(match.group())
-        except (ValueError, ZeroDivisionError):
-            self.error("invalid branch length", start)
-        if value < 0:
-            self.error("negative branch length", start)
-        return value
+_SPACE_RE = re.compile(r"\s*")
+_LABEL_RE = re.compile(r"[0-9]+")
+_NUM_RE = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)", re.ASCII)
 
 
 def parse_newick(text: str, rooted: bool = False) -> WeightedTree:
     """Parse a Newick string with integer leaf labels 1..n.
 
-    Branch lengths must be exact rationals ("p/q" or terminating
-    decimals); missing lengths default to 0.  With ``rooted=False`` a
-    degree-2 top node is suppressed (unrooted reading); with
-    ``rooted=True`` the top node is kept and recorded as the root.
-    Nesting deeper than the recursive parser can follow (several hundred
-    levels) raises :class:`NewickError`.
+    Leaf labels are ASCII decimal digits.  Branch lengths must be exact
+    rationals ("p/q", or decimals with an optional exponent, as read by
+    :func:`~treedissim.rationals.parse_rational`); missing lengths
+    default to 0.  With ``rooted=False`` a degree-2 top node is
+    suppressed (unrooted reading); with ``rooted=True`` the top node is
+    kept and recorded as the root.  Malformed input raises
+    :class:`NewickError`.
     """
-    try:
-        top = _NewickParser(text).parse()
-    except RecursionError:
-        # collect() and build() below take one frame per level, the parser two
-        raise NewickError("nesting is too deep to parse") from None
-    if top.label is not None:
-        raise NewickError("a tree needs at least two leaves")
 
-    leaves: list[int] = []
+    def skip(pos: int) -> int:
+        return _SPACE_RE.match(text, pos).end()
 
-    def collect(node: _RawNode) -> None:
-        if node.label is not None:
-            leaves.append(node.label)
-        for child, _ in node.children:
-            collect(child)
-
-    collect(top)
-    if len(leaves) != len(set(leaves)):
-        dup = sorted(l for l in set(leaves) if leaves.count(l) > 1)[0]
-        raise NewickError(f"duplicate leaf label {dup}")
-    n = len(leaves)
-    if sorted(leaves) != list(range(1, n + 1)):
-        raise NewickError(f"leaf labels must be exactly 1..{n}, got {sorted(leaves)}")
-
+    # One pass builds the adjacency.  The k-th '(' opens group -k; it is
+    # renamed n + k once n is known, so ids follow the order of '('.
     adj: dict[int, dict[int, Fraction]] = {}
-    counter = n
+    seen: set[int] = set()
+    repeated: set[int] = set()
+    open_groups: list[list[int]] = []  # [group id, position of '(', children so far]
+    groups = 0
+    pos = skip(0)
+    while True:
+        if text.startswith("(", pos):
+            groups += 1
+            open_groups.append([-groups, pos, 0])
+            adj[-groups] = {}
+            pos = skip(pos + 1)
+            continue
+        match = _LABEL_RE.match(text, pos)
+        if match is None:
+            raise NewickError("expected a leaf label or '('", pos)
+        try:
+            node = int(match.group())
+        except ValueError:  # more digits than int() converts
+            raise NewickError("leaf label is too long", pos) from None
+        if node < 1:
+            raise NewickError("leaf labels must be positive integers", pos)
+        (repeated if node in seen else seen).add(node)
+        adj.setdefault(node, {})
+        pos = skip(match.end())
+        # node is finished: read its length, attach it, and close every
+        # group that ends here
+        while True:
+            weight = Fraction(0)
+            if text.startswith(":", pos):
+                pos = skip(pos + 1)
+                match = _NUM_RE.match(text, pos)
+                if match is None:
+                    raise NewickError("expected a branch length", pos)
+                try:
+                    weight = parse_rational(match.group())
+                except ValueError:
+                    raise NewickError("invalid branch length", pos) from None
+                if weight < 0:
+                    raise NewickError("negative branch length", pos)
+                pos = skip(match.end())
+            if not open_groups:
+                break
+            group = open_groups[-1]
+            group[2] += 1
+            adj[group[0]][node] = weight
+            adj[node][group[0]] = weight
+            if text.startswith(",", pos):
+                pos = skip(pos + 1)
+                break
+            if not text.startswith(")", pos):
+                raise NewickError("expected ',' or ')'", pos)
+            node, start, children = open_groups.pop()
+            if children < 2:
+                raise NewickError("a group needs at least two children", start)
+            pos = skip(pos + 1)
+        if not open_groups:
+            break
+    if not text.startswith(";", pos):
+        raise NewickError("expected ';'", pos)
+    pos = skip(pos + 1)
+    if pos != len(text):
+        raise NewickError("unexpected trailing characters", pos)
+    if node > 0:
+        raise NewickError("a tree needs at least two leaves")
+    if repeated:
+        raise NewickError(f"duplicate leaf label {min(repeated)}")
+    n = len(seen)
+    if max(seen) != n:
+        raise NewickError(f"leaf labels must be exactly 1..{n}, got {sorted(seen)}")
 
-    def build(node: _RawNode) -> int:
-        nonlocal counter
-        if node.label is not None:
-            adj.setdefault(node.label, {})
-            return node.label
-        counter += 1
-        me = counter
-        adj.setdefault(me, {})
-        for child, weight in node.children:
-            cid = build(child)
-            adj[me][cid] = weight
-            adj[cid][me] = weight
-        return me
+    def final(u: int) -> int:
+        return u if u > 0 else n - u
 
-    top_id = build(top)
-    root: int | None = top_id
-    if not rooted and len(adj[top_id]) == 2:
-        (a, wa), (b, wb) = sorted(adj[top_id].items())
-        del adj[a][top_id]
-        del adj[b][top_id]
-        del adj[top_id]
+    adj = {final(u): {final(v): w for v, w in nbrs.items()} for u, nbrs in adj.items()}
+    root: int | None = final(node)
+    if not rooted and len(adj[root]) == 2:
+        (a, wa), (b, wb) = sorted(adj[root].items())
+        del adj[a][root]
+        del adj[b][root]
+        del adj[root]
         adj[a][b] = wa + wb
         adj[b][a] = wa + wb
-        root = None
-    elif not rooted:
+    if not rooted:
         root = None
     return WeightedTree(n, adj, root)
 

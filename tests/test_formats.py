@@ -16,8 +16,10 @@ from treedissim import (
     ValuationCertificate,
     build_certificate,
     dissimilarity_map,
+    distance_matrix,
     format_rational,
     pairing_map,
+    parse_newick,
     parse_rational,
 )
 
@@ -48,7 +50,9 @@ class TestRationalStrings:
         assert parse_rational(F(2, 3)) == F(2, 3)
         assert parse_rational(5) == F(5)
 
-    @pytest.mark.parametrize("bad", ["abc", "1/0", "1.2.3", "", None, [1], {"a": 1}])
+    @pytest.mark.parametrize(
+        "bad", ["abc", "1/0", "1.2.3", "", None, [1], {"a": 1}, "1e999999999", "1e-999999999", "1e5000"]
+    )
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -88,6 +92,7 @@ class TestDistanceMatrixJson:
             {"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1, 2": "7"}},
             {"n": 3, "entries": {"01,2": "1", "1,3": "1", "2,3": "1"}},
             {"n": 3, "entries": {"1,2,": "1", "1,3": "1", "2,3": "1"}},
+            {"n": 3, "entries": {"1,2": "1e5000", "1,3": "1", "2,3": "1"}},
         ],
     )
     def test_malformed_rejected(self, obj):
@@ -201,3 +206,50 @@ def test_size_checked_before_key_set(monkeypatch, module, cls, obj, count):
     monkeypatch.setattr(f"treedissim.{module}.combinations", no_key_set)
     with pytest.raises(ValueError, match=f"need {count} entries"):
         cls.from_json_obj(obj)
+
+
+def test_claimed_size_is_never_counted_in_full(monkeypatch):
+    # C(10**7, 5 * 10**6) has about three million digits; the count stops
+    # long before, so neither it nor the key set is ever built.
+    def too_expensive(*args):
+        raise AssertionError("computed the full binomial or the key set")
+
+    monkeypatch.setattr("math.comb", too_expensive)
+    monkeypatch.setattr("treedissim.dissim.combinations", too_expensive)
+    with pytest.raises(ValueError, match=r"need at least 10\*\*\d+ entries for the 5000000-subsets"):
+        DissimTensor.from_json_obj({"n": 10**7, "m": 5 * 10**6, "entries": {}})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@pytest.mark.parametrize(
+    "cls,make",
+    [
+        (DistanceMatrix, distance_matrix),
+        (DissimTensor, lambda quartet: dissimilarity_map(distance_matrix(quartet), 3)),
+        (PairingPoint, lambda quartet: pairing_map(distance_matrix(quartet))),
+        (ValuationCertificate, build_certificate),
+    ],
+    ids=["matrix", "tensor", "pairing", "certificate"],
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_any_json_gives_object_or_value_error(cls, make, data):
+    # Either an arbitrary JSON value, or a valid object with one field
+    # (or one entry) replaced by one.
+    obj = make(parse_newick("((1:1,2:1):1,3:1,4:1);")).to_json_obj()
+    target = data.draw(st.sampled_from([None, obj, obj.get("entries", obj.get("edge_labels"))]))
+    if target is None:
+        obj = data.draw(json_values)
+    else:
+        key = data.draw(st.sampled_from(sorted(target)) | st.text(max_size=6))
+        target[key] = data.draw(json_values)
+    try:
+        cls.from_json_obj(obj)
+    except ValueError:
+        pass

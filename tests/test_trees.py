@@ -1,7 +1,6 @@
 """Tree structures: Newick IO, distances, Steiner weights, contraction,
 well-numbering, generators, equidistant building and reconstruction."""
 
-import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -80,6 +79,12 @@ class TestParseNewick:
             "(1:1,3:1);",  # labels must be 1..n
             "(1:-1,2:1);",  # negative branch length
             "",  # empty
+            "(1:0,²:5);",  # a Unicode digit that int() refuses
+            "(١:1,2:1);",  # a Unicode digit that int() reads as 1
+            "(1:1," + "1" * 5000 + ":1);",  # more digits than int() converts
+            "(1:1e999999999,2:1);",  # exponents beyond the digit limit
+            "(1:1e-999999999,2:1);",
+            "(1:1e5000,2:1);",
         ],
     )
     def test_malformed_input_rejected(self, text):
@@ -94,6 +99,26 @@ class TestParseNewick:
 
     def test_newick_error_is_tree_error(self):
         assert issubclass(NewickError, TreeError)
+
+    @given(data=st.data(), rooted=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_gives_tree_or_newick_error(self, data, rooted):
+        alphabet = "(),:;0123456789./+-eE²١ \t\n"
+        if data.draw(st.booleans()):
+            text = data.draw(st.text(alphabet, max_size=40))
+        else:
+            n = data.draw(st.integers(3, 8))
+            text = serialize_newick(random_tree(n, seed=data.draw(st.integers(0, 99))))
+            for _ in range(data.draw(st.integers(1, 3))):
+                i = data.draw(st.integers(0, len(text)))
+                j = data.draw(st.integers(i, min(len(text), i + 3)))
+                text = text[:i] + data.draw(st.text(alphabet, max_size=3)) + text[j:]
+        try:
+            tree = parse_newick(text, rooted=rooted)
+        except NewickError:
+            return
+        canonical = serialize_newick(tree)
+        assert serialize_newick(parse_newick(canonical, rooted=rooted)) == canonical
 
 
 class TestSerializeNewick:
@@ -118,9 +143,12 @@ class TestSerializeNewick:
 
     def test_deep_caterpillar(self):
         # 1500 nested groups: deeper than any recursive walk can go
-        text = serialize_newick(random_tree(1500, seed=0, shape="caterpillar"))
+        tree = random_tree(1500, seed=0, shape="caterpillar")
+        text = serialize_newick(tree)
         assert text.count("(") == 1498
-        assert sorted(map(int, re.findall(r"[(,](\d+):", text))) == list(range(1, 1501))
+        back = parse_newick(text)
+        assert serialize_newick(back) == text
+        assert same_tree(back, tree)
 
 
 class TestWeightedTreeValidation:
