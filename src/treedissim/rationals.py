@@ -22,7 +22,8 @@ def _digit_limit() -> int:
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"``, ``"p/q"`` or a terminating decimal into a Fraction.
 
-    Raises ValueError for anything else, and for a value that
+    Only ASCII text without ``_`` separators is read.  Raises ValueError
+    for anything else, and for a value that
     :func:`format_rational` could not write back.
     """
     if isinstance(text, Fraction):
@@ -33,6 +34,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"expected rational string, got {type(text).__name__}")
     limit = _digit_limit()
     try:
+        # Fraction also reads non-ASCII digits and "_" separators
+        if not text.isascii() or "_" in text:
+            raise ValueError("not ASCII digits")
         _, exp_mark, exponent = text.lower().partition("e")
         # Fraction would compute 10**exponent whatever its size
         if exp_mark and abs(int(exponent)) > limit:

@@ -358,7 +358,8 @@ def parse_newick(text: str, rooted: bool = False) -> WeightedTree:
         raise NewickError(f"duplicate leaf label {min(repeated)}")
     n = len(seen)
     if max(seen) != n:
-        raise NewickError(f"leaf labels must be exactly 1..{n}, got {sorted(seen)}")
+        missing = min(set(range(1, n + 1)) - seen)
+        raise NewickError(f"leaf labels must be exactly 1..{n}; {missing} is missing")
 
     def final(u: int) -> int:
         return u if u > 0 else n - u

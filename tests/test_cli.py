@@ -180,8 +180,10 @@ class TestCheck:
             ({"n": 4, "entries": []}, "--metric"),
             ({"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1, 2": "7"}}, "--ultra"),
             ('{"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1,2": "7"}}', "--ultra"),
+            ({"n": 3, "entries": {"1,2": "٣", "1,3": "1", "2,3": "1"}}, "--ultra"),
+            ({"n": 3, "entries": {"1,2": "1_000", "1,3": "1", "2,3": "1"}}, "--ultra"),
         ],
-        ids=["entries-list", "noncanonical-key", "repeated-key"],
+        ids=["entries-list", "noncanonical-key", "repeated-key", "nonascii-digit", "underscore"],
     )
     def test_malformed_entries_is_usage_error(self, tmp_path, obj, flag, capsys):
         if isinstance(obj, str):  # JSON text that json.dumps cannot produce

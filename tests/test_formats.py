@@ -51,7 +51,11 @@ class TestRationalStrings:
         assert parse_rational(5) == F(5)
 
     @pytest.mark.parametrize(
-        "bad", ["abc", "1/0", "1.2.3", "", None, [1], {"a": 1}, "1e999999999", "1e-999999999", "1e5000"]
+        "bad",
+        [
+            "abc", "1/0", "1.2.3", "", None, [1], {"a": 1}, "1e999999999", "1e-999999999", "1e5000",
+            "١", "٣", "1/٣", "\u30003", "1_000", "1e1_0", "1/1_0",
+        ],
     )
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
@@ -93,6 +97,8 @@ class TestDistanceMatrixJson:
             {"n": 3, "entries": {"01,2": "1", "1,3": "1", "2,3": "1"}},
             {"n": 3, "entries": {"1,2,": "1", "1,3": "1", "2,3": "1"}},
             {"n": 3, "entries": {"1,2": "1e5000", "1,3": "1", "2,3": "1"}},
+            {"n": 3, "entries": {"1,2": "٣", "1,3": "1", "2,3": "1"}},
+            {"n": 3, "entries": {"1,2": "1_000", "1,3": "1", "2,3": "1"}},
         ],
     )
     def test_malformed_rejected(self, obj):
@@ -127,6 +133,10 @@ class TestDissimTensorJson:
             DissimTensor.from_json_obj({"n": 4, "m": 3, "entries": [["1,2,3", "1"]]})
         with pytest.raises(ValueError, match="bad index key"):
             DissimTensor.from_json_obj({"n": 4, "m": 3, "entries": {"1,2,+3": "1"}})
+        for value in ["٣", "1_000"]:
+            entries = {"1,2,3": value, "1,2,4": "1", "1,3,4": "1", "2,3,4": "1"}
+            with pytest.raises(ValueError, match="not a rational number"):
+                DissimTensor.from_json_obj({"n": 4, "m": 3, "entries": entries})
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -178,8 +188,11 @@ class TestCertificateJson:
             ("x_series", [5]),
             ("x_series", [5, 5, 5, 5]),
             ("matrix", [[5]]),
+            ("x_series", [[["٢", "1"]], [], [], []]),
+            ("x_series", [[["2", "1_0"]], [], [], []]),
         ],
-        ids=["n-string", "label-list", "series-short", "series-ints", "matrix-short"],
+        ids=["n-string", "label-list", "series-short", "series-ints", "matrix-short",
+             "series-nonascii-digit", "series-underscore"],
     )
     def test_malformed_field_is_value_error(self, quartet, key, value):
         obj = build_certificate(quartet).to_json_obj()

@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 
 from treedissim import (
     CertificateError,
+    DissimTensor,
     PuiseuxPoly,
     ValuationCertificate,
+    Verdict,
     build_certificate,
     det3,
     dissimilarity_map,
     distance_matrix,
     parse_newick,
+    puiseux,
     random_tree,
     triple_dissimilarity,
     verify_certificate,
@@ -201,6 +204,75 @@ class TestVerifyCertificate:
         cert = build_certificate(quartet, label_values=[1, 2, 3, 0])
         assert str(cert.x_series[2]) == "0"
         assert verify_certificate(cert, triple_dissimilarity(quartet_dm))
+
+
+def reference_verdict(cert, W):
+    """The generic check: one det3 expansion per triple, in lex order."""
+    for triple in combinations(range(1, cert.n + 1), 3):
+        got = -det3(cert.minor(*triple)).val()
+        want = W.entries[triple]
+        if got != want:
+            return Verdict(False, witness=triple, values=(got, want))
+    return Verdict(True)
+
+
+def with_column(cert, col, entries):
+    """``cert`` with column ``col`` (1-based) replaced by three entries."""
+    return dataclasses.replace(
+        cert,
+        matrix=tuple(row[: col - 1] + (entries[r],) + row[col:] for r, row in enumerate(cert.matrix)),
+    )
+
+
+class TestFactorizedVerification:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_built_certificates_need_no_det3(self, monkeypatch, n):
+        def refuse(rows):
+            raise AssertionError("det3 called on a well-formed certificate")
+
+        monkeypatch.setattr(puiseux, "det3", refuse)
+        for seed in range(3):
+            t = random_tree(n, seed=seed)
+            assert verify_certificate(build_certificate(t), triple_dissimilarity(distance_matrix(t)))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # row 0 is not a single term
+            lambda s, sy, syy: (s + MONO(1, 5), sy, syy),
+            # row 2 is not s*y^2
+            lambda s, sy, syy: (s, sy, syy + MONO(3, 7)),
+            # an all-zero column
+            lambda s, sy, syy: (PuiseuxPoly.zero(),) * 3,
+        ],
+        ids=["two-term-row0", "row2-not-s-y2", "zero-column"],
+    )
+    @pytest.mark.parametrize("col", [1, 3])
+    def test_malformed_column_falls_back_to_det3(self, monkeypatch, quartet, quartet_dm, change, col):
+        cert = build_certificate(quartet)
+        bad = with_column(cert, col, change(*(row[col - 1] for row in cert.matrix)))
+        W = triple_dissimilarity(quartet_dm)
+        expected = reference_verdict(bad, W)
+        calls = []
+        monkeypatch.setattr(puiseux, "det3", lambda rows: calls.append(rows) or det3(rows))
+        assert verify_certificate(bad, W) == expected
+        assert calls
+
+
+@given(data=st.data(), n=st.integers(3, 8), seed=st.integers(0, 10**6), labels=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_verify_matches_det3_reference(data, n, seed, labels):
+    t = random_tree(n, seed=seed)
+    W = triple_dissimilarity(distance_matrix(t))
+    cert = build_certificate(t)
+    if labels:
+        # distinct labels, one of them zero, never cancel a leading term
+        cert = build_certificate(t, label_values=data.draw(st.permutations(range(len(cert.edge_labels)))))
+    if data.draw(st.booleans()):
+        triple = data.draw(st.sampled_from(sorted(W.entries)))
+        bump = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+        W = DissimTensor(n, 3, {**W.entries, triple: W.entries[triple] + bump})
+    assert verify_certificate(cert, W) == reference_verdict(cert, W)
 
 
 class TestCertificateJson:

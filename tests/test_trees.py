@@ -91,6 +91,13 @@ class TestParseNewick:
         with pytest.raises(NewickError):
             parse_newick(text)
 
+    def test_label_gap_message_is_one_short_line(self):
+        labels = [*range(1, 8000), 8001]
+        with pytest.raises(NewickError) as exc:
+            parse_newick("(" + ",".join(f"{i}:1" for i in labels) + ");")
+        assert str(exc.value) == "leaf labels must be exactly 1..8000; 8000 is missing"
+        assert len(str(exc.value)) < 100
+
     def test_error_carries_position(self):
         with pytest.raises(NewickError) as exc:
             parse_newick("(1:1,2:x);")
