@@ -21,8 +21,8 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .rationals import checked_table, format_index_key, format_rational, parse_index_entries, parse_rational
-from .tropical import Verdict, four_point_check, max_twice, three_term_plucker_check
-from .trees import DistanceMatrix, FourPointViolation, WeightedTree, reconstruct_tree
+from .tropical import Verdict, _pairing_sums, four_point_check, max_twice, three_term_plucker_check
+from .trees import DistanceMatrix, FourPointViolation, WeightedTree, _is_cherry, reconstruct_tree
 
 
 class InversionError(Exception):
@@ -149,16 +149,12 @@ def _scaled_submatrix(D: DistanceMatrix, subset: Sequence[int]) -> tuple[list[li
     """Integer-rescaled pairwise entries over ``subset`` plus the common
     denominator, so tour sums run on machine integers."""
     m = len(subset)
-    denom = 1
-    for a, b in combinations(subset, 2):
-        denom = lcm(denom, D.get(a, b).denominator)
+    pairs = list(combinations(range(m), 2))
+    values = [D.get(subset[a], subset[b]) for a, b in pairs]
+    denom = lcm(*(v.denominator for v in values))
     e = [[0] * m for _ in range(m)]
-    for ai in range(m):
-        for bi in range(ai + 1, m):
-            v = D.get(subset[ai], subset[bi])
-            scaled = v.numerator * (denom // v.denominator)
-            e[ai][bi] = scaled
-            e[bi][ai] = scaled
+    for (a, b), v in zip(pairs, values):
+        e[a][b] = e[b][a] = v.numerator * (denom // v.denominator)
     return e, denom
 
 
@@ -207,6 +203,8 @@ def _min_tour_dp_int(e: list[list[int]]) -> int:
 # Subset size above which method="auto" runs the DP instead of the tours.
 _DP_THRESHOLD = 6
 
+_MIN_TOUR = {"tours": _min_tour_int, "dp": _min_tour_dp_int}
+
 
 def subset_dissimilarity(D: DistanceMatrix, subset: Iterable[int], method: str = "auto") -> Fraction:
     """Half the minimum closed-tour sum over cyclic orders of ``subset``.
@@ -223,18 +221,14 @@ def subset_dissimilarity(D: DistanceMatrix, subset: Iterable[int], method: str =
         raise ValueError("subset needs at least 2 elements")
     if len(set(subset)) < m:
         raise ValueError("subset has repeated elements")
+    if method != "auto" and method not in _MIN_TOUR:
+        raise ValueError(f"unknown method {method!r}")
     if m == 2:
         return D.get(subset[0], subset[1])
-    e, denom = _scaled_submatrix(D, subset)
     if method == "auto":
         method = "tours" if m <= _DP_THRESHOLD else "dp"
-    if method == "tours":
-        best = _min_tour_int(e)
-    elif method == "dp":
-        best = _min_tour_dp_int(e)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Fraction(best, 2 * denom)
+    e, denom = _scaled_submatrix(D, subset)
+    return Fraction(_MIN_TOUR[method](e), 2 * denom)
 
 
 def dissimilarity_map(D: DistanceMatrix, m: int, method: str = "auto") -> DissimTensor:
@@ -320,13 +314,11 @@ def subset_cherries(D: DistanceMatrix, subset: Iterable[int]) -> tuple[tuple[int
     subset = tuple(sorted(subset))
     if len(subset) < 3:
         raise ValueError("cherry detection needs at least 3 elements")
-    found = []
-    for a, b in combinations(subset, 2):
-        rest = [c for c in subset if c != a and c != b]
-        delta = D.get(a, rest[0]) - D.get(b, rest[0])
-        if all(D.get(a, c) - D.get(b, c) == delta for c in rest[1:]):
-            found.append((a, b))
-    return tuple(found)
+    return tuple(
+        (a, b)
+        for a, b in combinations(subset, 2)
+        if _is_cherry(D.get, a, b, [c for c in subset if c != a and c != b])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,32 +457,12 @@ class Membership3Result:
         return self.is_member
 
 
-def _check_plucker_fails_with_any_anchor(W: DissimTensor, quad: tuple) -> None:
-    # A four-point failure of the preimage must show up as a three-term
-    # relation failure for every anchor S, because the three anchored
-    # sums differ from the pairing sums by a common S-dependent shift.
-    i, j, k, l = quad
-    for s in range(1, W.n + 1):
-        if s in quad:
-            continue
-        vals = (
-            W.value((s, i, j)) + W.value((s, k, l)),
-            W.value((s, i, k)) + W.value((s, j, l)),
-            W.value((s, i, l)) + W.value((s, j, k)),
-        )
-        if max_twice(vals):
-            raise RuntimeError(
-                f"internal inconsistency: anchored relation passes at S={s}, quadruple {quad}"
-            )
-
-
 def triple_membership(W: DissimTensor) -> Membership3Result:
     """Decide whether an m=3 tensor is the triple dissimilarity of a tree.
 
     Inverts the linear system, then applies the strict four-point check
-    to the preimage.  The verdict is corroborated: members must pass the
-    three-term relations, and a four-point failure must reproduce as an
-    anchored three-term failure for every choice of fifth index.
+    to the preimage.  A member is corroborated: W must also pass the
+    three-term relations.
     """
     if W.m != 3:
         raise ValueError("membership needs an m=3 tensor")
@@ -504,7 +476,6 @@ def triple_membership(W: DissimTensor) -> Membership3Result:
         )
     verdict = four_point_check(X, strict=True)
     if not verdict:
-        _check_plucker_fails_with_any_anchor(W, verdict.witness)
         return Membership3Result(
             False, "four_point", matrix=X, witness=verdict.witness, values=verdict.values
         )
@@ -533,9 +504,10 @@ def reroot_ultrametric(D: DistanceMatrix, E: Fraction) -> DistanceMatrix:
     """Shift a tree metric so the last leaf sits at distance 2E from all.
 
     D'(i,j) = 2E + D(i,j) - D(i,n) - D(j,n) for i,j < n and
-    D'(i,n) = 2E.  Requires E >= max_i D(i,n).  The result is again a
-    tree metric and is ultrametric away from leaf n; both facts are
-    asserted.
+    D'(i,n) = 2E.  Requires E >= max_i D(i,n).  The input is accepted
+    iff the result passes the non-strict four-point check, so the result
+    is again a tree metric, and with that it is ultrametric away from
+    leaf n.
     """
     n = D.n
     E = Fraction(E)
@@ -554,12 +526,6 @@ def reroot_ultrametric(D: DistanceMatrix, E: Fraction) -> DistanceMatrix:
         raise ValueError(
             f"input is not a tree metric: shifted matrix fails at {verdict.witness}"
         )
-    if n >= 4:
-        from .tropical import is_ultrametric
-
-        uv = is_ultrametric(shifted.restrict(range(1, n)))
-        if not uv:
-            raise RuntimeError(f"internal inconsistency: shift not ultrametric at {uv.witness}")
     return shifted
 
 
@@ -578,10 +544,8 @@ def pairing_map(D: DistanceMatrix) -> PairingPoint:
         raise ValueError("pairing map needs n >= 4")
     entries = {}
     for p, q in _pair_pairs(n):
-        i, j = p
-        k, l = q
-        cross = min(D.get(i, k) + D.get(j, l), D.get(i, l) + D.get(j, k))
-        entries[(p, q)] = (D.get(i, j) + D.get(k, l) + cross) / 2
+        own, *crossing = _pairing_sums(D, *p, *q)
+        entries[(p, q)] = (own + min(crossing)) / 2
     return PairingPoint(n, entries)
 
 
@@ -653,18 +617,11 @@ def verify_m4_characterization(D: DistanceMatrix) -> M4Report:
     are equivalent pointwise; the report exposes both so the equivalence
     is checkable."""
     reports = []
-    for i, j, k, l in combinations(range(1, D.n + 1), 4):
-        a = D.get(i, j) + D.get(k, l)
-        b = D.get(i, k) + D.get(j, l)
-        c = D.get(i, l) + D.get(j, k)
+    for quad in combinations(range(1, D.n + 1), 4):
+        a, b, c = sums = _pairing_sums(D, *quad)
         coords = (a + min(b, c), b + min(a, c), c + min(a, b))
         reports.append(
-            QuadrupleReport(
-                (i, j, k, l),
-                (a, b, c),
-                max_twice((a, b, c)),
-                coords[0] == coords[1] == coords[2],
-            )
+            QuadrupleReport(quad, sums, max_twice(sums), coords[0] == coords[1] == coords[2])
         )
     return M4Report(D.n, tuple(reports))
 

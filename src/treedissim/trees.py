@@ -366,16 +366,20 @@ def parse_newick(text: str, rooted: bool = False) -> WeightedTree:
 
     adj = {final(u): {final(v): w for v, w in nbrs.items()} for u, nbrs in adj.items()}
     root: int | None = final(node)
-    if not rooted and len(adj[root]) == 2:
-        (a, wa), (b, wb) = sorted(adj[root].items())
-        del adj[a][root]
-        del adj[b][root]
-        del adj[root]
-        adj[a][b] = wa + wb
-        adj[b][a] = wa + wb
     if not rooted:
+        if len(adj[root]) == 2:
+            _splice(adj, root)
         root = None
     return WeightedTree(n, adj, root)
+
+
+def _splice(adj: dict[int, dict[int, Fraction]], u: int) -> None:
+    """Remove the degree-2 node ``u`` from ``adj`` in place, joining its
+    two neighbors by one edge whose weight is the sum of the two."""
+    (a, wa), (b, wb) = sorted(adj.pop(u).items())
+    del adj[a][u]
+    del adj[b][u]
+    adj[a][b] = adj[b][a] = wa + wb
 
 
 def _rooted(
@@ -624,12 +628,22 @@ def random_tree(
     else:
         raise ValueError(f"unknown shape {shape!r}")
     sampler = weight_sampler or _default_weight_sampler
+    # one draw per edge in sorted edge order: seeded trees depend on it
+    ordered = sorted(tuple(sorted(e)) for e in edges)
+    return _from_edges(n, [(u, v, sampler(rng)) for u, v in ordered])
+
+
+def _from_edges(n: int, weighted_edges: Iterable[tuple[int, int, Fraction]]) -> WeightedTree:
+    """The tree on leaves 1..n with the given (u, v, weight) edges."""
     adj: dict[int, dict[int, Fraction]] = {}
-    for u, v in sorted(tuple(sorted(e)) for e in edges):
-        w = sampler(rng)
+    for u, v, w in weighted_edges:
         adj.setdefault(u, {})[v] = w
         adj.setdefault(v, {})[u] = w
     return WeightedTree(n, adj)
+
+
+# Largest n that enumerate_topologies accepts: (2*8-5)!! = 10395 trees.
+_TOPOLOGY_CAP = 8
 
 
 class TopologyIterator:
@@ -639,9 +653,9 @@ class TopologyIterator:
     exactly once, with unit edge weights.
     """
 
-    def __init__(self, n: int, max_n: int = 8):
-        if n < 3 or n > max_n:
-            raise ValueError(f"n must be between 3 and {max_n}")
+    def __init__(self, n: int):
+        if n < 3 or n > _TOPOLOGY_CAP:
+            raise ValueError(f"n must be between 3 and {_TOPOLOGY_CAP}")
         self.n = n
 
     def _grow(self, k: int) -> Iterator[list[tuple[int, int]]]:
@@ -658,22 +672,19 @@ class TopologyIterator:
     def __iter__(self) -> Iterator[WeightedTree]:
         one = Fraction(1)
         for edges in self._grow(self.n):
-            adj: dict[int, dict[int, Fraction]] = {}
-            for u, v in edges:
-                adj.setdefault(u, {})[v] = one
-                adj.setdefault(v, {})[u] = one
-            yield WeightedTree(self.n, adj)
+            yield _from_edges(self.n, [(u, v, one) for u, v in edges])
 
 
-def enumerate_topologies(n: int, max_n: int = 8) -> TopologyIterator:
+def enumerate_topologies(n: int) -> TopologyIterator:
     """Every unrooted leaf-labeled binary topology on 1..n, once each.
 
     Topologies are generated by iteratively inserting leaf k into each
     edge of every topology on k-1 leaves, so the count over n leaves is
     the double factorial 1*3*5*...*(2n-5).  Edges carry unit weights.
-    The cap ``max_n`` guards against accidentally huge enumerations.
+    n must lie in 3..8; the upper cap guards against accidentally huge
+    enumerations.
     """
-    return TopologyIterator(n, max_n)
+    return TopologyIterator(n)
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +747,13 @@ def build_equidistant(D: DistanceMatrix) -> WeightedTree:
 # Reconstruction from a tree metric
 
 
+def _is_cherry(get: Callable[[int, int], Fraction], a: int, b: int, rest: Sequence[int]) -> bool:
+    """True iff get(a,c) - get(b,c) is the same for every c in ``rest``:
+    all other paths then enter the a-b path at one common point."""
+    delta = get(a, rest[0]) - get(b, rest[0])
+    return all(get(a, c) - get(b, c) == delta for c in rest[1:])
+
+
 def _normalized_adj(adj: dict[int, dict[int, Fraction]], n: int) -> dict[int, dict[int, Fraction]]:
     """Contract zero-weight edges between unlabeled nodes and suppress
     unlabeled degree-2 nodes; leaves 1..n are never touched."""
@@ -754,12 +772,7 @@ def _normalized_adj(adj: dict[int, dict[int, Fraction]], n: int) -> dict[int, di
                 changed = True
                 break
             if deg == 2:
-                (a, wa), (b, wb) = sorted(adj[u].items())
-                del adj[a][u]
-                del adj[b][u]
-                del adj[u]
-                adj[a][b] = wa + wb
-                adj[b][a] = wa + wb
+                _splice(adj, u)
                 changed = True
                 break
             merged = False
@@ -810,9 +823,7 @@ def reconstruct_tree(D: DistanceMatrix) -> WeightedTree:
     while len(active) > 2:
         pair = None
         for a, b in combinations(sorted(active), 2):
-            rest = [c for c in active if c != a and c != b]
-            delta = dget(a, rest[0]) - dget(b, rest[0])
-            if all(dget(a, c) - dget(b, c) == delta for c in rest[1:]):
+            if _is_cherry(dget, a, b, [c for c in active if c != a and c != b]):
                 pair = (a, b)
                 break
         if pair is None:

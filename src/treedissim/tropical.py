@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Any, Mapping, Sequence, Tuple
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,6 @@ class Verdict:
         return self.passed
 
 
-@dataclass(frozen=True)
-class TropTerm:
-    """One term ``coeff + sum(a_x * point[x])`` of a max-plus polynomial."""
-
-    coeff: Fraction
-    exponents: Mapping[Any, int]
-
-
 def max_twice(values: Sequence[Fraction]) -> bool:
     """True iff the maximum of ``values`` occurs at two or more positions."""
     if len(values) == 0:
@@ -58,34 +50,8 @@ def max_twice(values: Sequence[Fraction]) -> bool:
     return False
 
 
-def eval_trop_poly(
-    terms: Sequence[TropTerm], point: Mapping[Any, Fraction]
-) -> Tuple[Fraction, Tuple[int, ...]]:
-    """Evaluate a max-plus polynomial at ``point``.
-
-    Returns ``(value, argmax)`` where ``argmax`` lists the indices of all
-    maximizing terms.  The point lies on the tropical hypersurface of the
-    polynomial iff ``len(argmax) >= 2``.
-    """
-    if len(terms) == 0:
-        raise ValueError("eval_trop_poly needs at least one term")
-    best = None
-    argmax: list[int] = []
-    for idx, term in enumerate(terms):
-        total = Fraction(term.coeff)
-        for coord, a in term.exponents.items():
-            if coord not in point:
-                raise ValueError(f"point is missing coordinate {coord!r}")
-            total += a * point[coord]
-        if best is None or total > best:
-            best = total
-            argmax = [idx]
-        elif total == best:
-            argmax.append(idx)
-    return best, tuple(argmax)
-
-
 def _pairing_sums(D, i: int, j: int, k: int, l: int) -> tuple:
+    """The sums over the pairings ij|kl, ik|jl and il|jk, in that order."""
     return (
         D.get(i, j) + D.get(k, l),
         D.get(i, k) + D.get(j, l),

@@ -18,6 +18,7 @@ from treedissim import (
     four_point_check,
     invert_triple_dissimilarity,
     is_ultrametric,
+    max_twice,
     pairing_agreement,
     pairing_map,
     project_pairings,
@@ -27,6 +28,7 @@ from treedissim import (
     steiner_weight,
     subset_cherries,
     subset_dissimilarity,
+    three_term_plucker_check,
     tour_minimizers,
     triple_dissimilarity,
     triple_membership,
@@ -97,6 +99,11 @@ class TestSubsetDissimilarity:
     def test_unknown_method_rejected(self, quartet_dm):
         with pytest.raises(ValueError):
             subset_dissimilarity(quartet_dm, (1, 2, 3), method="magic")
+        # m=2 reads the entry without a tour, but the method is still checked
+        with pytest.raises(ValueError):
+            subset_dissimilarity(quartet_dm, (1, 2), method="bogus")
+        with pytest.raises(ValueError):
+            dissimilarity_map(quartet_dm, 2, method="bogus")
 
     def test_map_bounds(self, quartet_dm):
         with pytest.raises(ValueError):
@@ -282,13 +289,22 @@ class TestRerootUltrametric:
         assert got.entries == want
         assert is_ultrametric(got.restrict([1, 2, 3]))
 
-    def test_shift_preserves_tree_metric(self):
-        d = distance_matrix(random_tree(6, seed=7))
-        top = max(d.get(i, 6) for i in range(1, 6))
-        shifted = reroot_ultrametric(d, top)
+    @given(
+        n=st.integers(4, 9),
+        seed=st.integers(0, 10**6),
+        shape=st.sampled_from(["uniform-topology", "caterpillar"]),
+        extra=st.fractions(min_value=0, max_value=10, max_denominator=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shift_preserves_tree_metric(self, n, seed, shape, extra):
+        # reroot_ultrametric only checks the four-point condition; being
+        # ultrametric away from leaf n follows from it and is checked here
+        d = distance_matrix(random_tree(n, seed=seed, shape=shape))
+        e = max(d.get(i, n) for i in range(1, n)) + extra
+        shifted = reroot_ultrametric(d, e)
         assert four_point_check(shifted)
-        assert is_ultrametric(shifted.restrict(range(1, 6)))
-        assert all(shifted.get(i, 6) == 2 * top for i in range(1, 6))
+        assert is_ultrametric(shifted.restrict(range(1, n)))
+        assert all(shifted.get(i, n) == 2 * e for i in range(1, n))
 
     def test_large_e_allowed(self, quartet_dm):
         got = reroot_ultrametric(quartet_dm, F(10))
@@ -391,3 +407,45 @@ def test_membership_accepts_every_tree_tensor(n, seed):
     res = triple_membership(triple_dissimilarity(distance_matrix(t)))
     assert res.is_member
     assert same_tree(res.tree, t)
+
+
+def anchored_sums(W, s, quad):
+    """The three sums of the three-term relation on ``quad`` anchored at s."""
+    i, j, k, l = quad
+    return (
+        W.value((s, i, j)) + W.value((s, k, l)),
+        W.value((s, i, k)) + W.value((s, j, l)),
+        W.value((s, i, l)) + W.value((s, j, k)),
+    )
+
+
+@given(
+    n=st.integers(5, 8),
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["tree", "bumped", "arbitrary"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_membership_agrees_with_three_term_relations(n, seed, kind):
+    # on W = phi_3(X) the relation anchored at s is the four-point
+    # condition on X plus a shift common to all three sums, so the
+    # decision and the three-term check agree, and a four-point witness
+    # fails the anchored relation for every anchor outside it
+    import random
+
+    rng = random.Random(seed)
+    if kind == "arbitrary":
+        x = symmetric_matrix(n, rng)
+    else:
+        x = distance_matrix(random_tree(n, seed=seed))
+        if kind == "bumped":
+            entries = dict(x.entries)
+            bump = F(rng.choice([-1, 1]) * rng.randint(1, 8), rng.randint(1, 3))
+            entries[rng.choice(sorted(entries))] += bump
+            x = DistanceMatrix(n, entries)
+    w = triple_dissimilarity(x)
+    res = triple_membership(w)
+    assert res.is_member == bool(three_term_plucker_check(w))
+    if res.stage == "four_point":
+        for s in range(1, n + 1):
+            if s not in res.witness:
+                assert not max_twice(anchored_sums(w, s, res.witness))

@@ -321,6 +321,30 @@ class TestRandomTree:
         with pytest.raises(TreeError):
             random_tree(2, seed=0)
 
+    @pytest.mark.parametrize(
+        "shape,n,seed,newick",
+        [
+            ("uniform-topology", 5, 1, "(1:1,(2:1,3:15/4):16,(4:21/4,5:7):13/4);"),
+            (
+                "uniform-topology",
+                8,
+                7,
+                "(1:18,(((2:12,(4:2,6:3/2):1):5/2,8:2):1,(3:17/2,5:7/2):8):19/4,7:3/4);",
+            ),
+            ("caterpillar", 5, 1, "(1:5,2:9,(3:4,(4:4,5:7):13/4):16);"),
+            (
+                "caterpillar",
+                8,
+                7,
+                "(1:11/2,2:13,(3:3,(4:12,(5:17/2,(6:2,(7:7/2,8:3/2):1):19/4):8):2):3/4);",
+            ),
+        ],
+    )
+    def test_golden_trees(self, shape, n, seed, newick):
+        # every seeded corpus depends on these exact trees: topology draws
+        # first, then one weight per edge in sorted edge order
+        assert serialize_newick(random_tree(n, seed, shape=shape)) == newick
+
 
 class TestEnumerateTopologies:
     @pytest.mark.parametrize("n,count", [(3, 1), (4, 3), (5, 15), (6, 105)])
@@ -337,8 +361,17 @@ class TestEnumerateTopologies:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             list(enumerate_topologies(9))
-        # raising the cap admits larger n: (2*8-5)!! = 10395
-        assert sum(1 for _ in enumerate_topologies(8, max_n=8)) == 10395
+        # the cap itself is admitted: (2*8-5)!! = 10395
+        assert sum(1 for _ in enumerate_topologies(8)) == 10395
+
+    def test_golden_order(self):
+        first = [serialize_newick(t) for _, t in zip(range(4), enumerate_topologies(5))]
+        assert first == [
+            "(1:1,((2:1,5:1):1,3:1):1,4:1);",
+            "(1:1,(2:1,(3:1,5:1):1):1,4:1);",
+            "(1:1,((2:1,3:1):1,4:1):1,5:1);",
+            "(1:1,((2:1,3:1):1,5:1):1,4:1);",
+        ]
 
     def test_below_range_rejected(self):
         with pytest.raises(ValueError):

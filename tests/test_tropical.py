@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from treedissim import (
     DissimTensor,
     DistanceMatrix,
-    TropTerm,
     Verdict,
     distance_matrix,
-    eval_trop_poly,
     four_point_check,
     is_ultrametric,
     max_twice,
@@ -49,35 +47,6 @@ class TestMaxTwice:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             max_twice([])
-
-
-class TestEvalTropPoly:
-    def test_two_maximizers(self):
-        # max(x, y) at x = y = 1
-        terms = [TropTerm(F(0), {"x": 1}), TropTerm(F(0), {"y": 1})]
-        value, argmax = eval_trop_poly(terms, {"x": F(1), "y": F(1)})
-        assert value == F(1)
-        assert argmax == (0, 1)
-
-    def test_unique_maximizer(self):
-        # max(2 + x, y) at x = 0, y = 1
-        terms = [TropTerm(F(2), {"x": 1}), TropTerm(F(0), {"y": 1})]
-        value, argmax = eval_trop_poly(terms, {"x": F(0), "y": F(1)})
-        assert value == F(2)
-        assert argmax == (0,)
-
-    def test_exponent_multiplies(self):
-        terms = [TropTerm(F(1), {"x": 3})]
-        value, argmax = eval_trop_poly(terms, {"x": F(2)})
-        assert value == F(7)
-
-    def test_missing_coordinate(self):
-        with pytest.raises(ValueError):
-            eval_trop_poly([TropTerm(F(0), {"x": 1})], {"y": F(0)})
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            eval_trop_poly([], {})
 
 
 class TestFourPoint:
