@@ -88,7 +88,11 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load(cls, path: str):
     """Read a ``DistanceMatrix`` or ``DissimTensor`` JSON file."""
-    return cls.from_json_obj(json.loads(_read(path), object_pairs_hook=_unique_keys))
+    try:
+        obj = json.loads(_read(path), object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep") from None
+    return cls.from_json_obj(obj)
 
 
 def _jobs(text: str) -> int:

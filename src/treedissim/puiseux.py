@@ -7,10 +7,11 @@ construction produces has finite support, so no infinite tails are
 modeled.
 
 ``build_certificate`` realizes the triple dissimilarity of a positively
-weighted tree as the 3x3-minor valuations of a 3xn matrix: leaves are
-encoded as series along an equidistant realization of the rerooted
-metric, arranged in Vandermonde rows, column-scaled, and finally pushed
-through the exponent substitution q -> -q/2.  ``verify_certificate``
+weighted tree as the 3x3-minor valuations of a 3xn matrix: the tree is
+hung from leaf n, where a node at distance d from n sits at height
+E - d; leaves are encoded as series along their paths up, arranged in
+Vandermonde rows, column-scaled, and finally pushed through the
+exponent substitution q -> -q/2.  ``verify_certificate``
 checks the resulting minor valuations against a tensor exactly.  It
 takes nothing on trust: it checks that each column of the
 matrix has the form (s, s*y, s*y^2) with s a single term, and then reads
@@ -31,8 +32,8 @@ from typing import Iterable, Sequence
 
 from .rationals import format_index_key, format_rational, parse_index_entries, parse_rational
 from .tropical import Verdict
-from .trees import WeightedTree, _rooted, build_equidistant, distance_matrix, serialize_newick
-from .dissim import DissimTensor, reroot_ultrametric
+from .trees import WeightedTree, _normalized_adj, _rooted, distance_matrix, serialize_newick
+from .dissim import DissimTensor
 
 
 class CertificateError(Exception):
@@ -156,7 +157,7 @@ class ValuationCertificate:
     columns i,j,k have valuation minus the tensor entry on {i,j,k}.
     ``x_series`` are the leaf series before scaling and substitution,
     ``edge_labels`` the integer labels keyed by the leaf cluster below
-    each edge of the equidistant realization, and ``e_value`` the chosen
+    each edge of the tree hung from leaf n, and ``e_value`` the chosen
     root-depth parameter.  ``tree_hash`` fingerprints the source tree.
     """
 
@@ -220,7 +221,11 @@ class ValuationCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "ValuationCertificate":
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nesting is too deep") from None
+        return cls.from_json_obj(obj)
 
 
 def build_certificate(
@@ -228,12 +233,13 @@ def build_certificate(
 ) -> ValuationCertificate:
     """Build a valuation certificate for a positively weighted tree.
 
-    Pipeline: pick E = max_i D(i,n); shift the metric so leaf n sits at
-    distance 2E from everything and the rest is ultrametric; realize the
-    ultrametric part as a rooted equidistant tree; encode each leaf as
-    the sum of labeled monomials a(e) t^(2h(e)) along its root path
-    (leaf n becomes t^(2E)); form the rows (1, x_i, x_i^2); scale column
-    i by t^(2(D(i,n)-E)); substitute q -> -q/2.
+    Pipeline: pick E = max_i D(i,n); hang the tree from leaf n, without
+    unlabeled degree-2 or dangling nodes.  This is the equidistant tree of
+    the rerooted metric D'(i,j) = 2E + D(i,j) - D(i,n) - D(j,n), with node
+    v at height h(v) = E - d(n,v).  Encode each leaf as the sum of labeled
+    monomials a(e) t^(2h(e)) along its path up to leaf n's neighbor, h(e)
+    the height of e's upper end (leaf n becomes t^(2E)); form the rows
+    (1, x_i, x_i^2); scale column i by t^(2(D(i,n)-E)); substitute q -> -q/2.
 
     Edge labels default to 1, 2, 3, ... in depth-first edge order, with
     children ordered by smallest leaf.  Distinct labels keep sibling
@@ -250,32 +256,24 @@ def build_certificate(
         raise CertificateError("certificate needs strictly positive edge weights")
     D = distance_matrix(tree)
     E = max(D.get(i, n) for i in range(1, n))
-    shifted = reroot_ultrametric(D, E)
-    eq = build_equidistant(shifted.restrict(range(1, n)))
-    preorder, parent, kids = _rooted(eq, eq.root)
-    edges = [(parent[v], v) for v in preorder[1:]]
-    labels = list(range(1, len(edges) + 1) if label_values is None else label_values)
-    if len(labels) != len(edges):
-        raise CertificateError(f"need {len(edges)} edge labels, got {len(labels)}")
-    label_of = dict(zip(preorder[1:], labels))
-    depth = {eq.root: Fraction(0)}
-    for par, v in edges:
-        depth[v] = depth[par] + eq.adj[par][v]
-
-    x: list[PuiseuxPoly] = []
-    for leaf in range(1, n):
-        terms = []
-        node = leaf
-        while node != eq.root:
-            par = parent[node]
-            terms.append((2 * (depth[1] - depth[par]), label_of[node]))
-            node = par
-        x.append(PuiseuxPoly.from_terms(terms))
-    x.append(PuiseuxPoly.monomial(1, 2 * E))
+    hung = WeightedTree(n, _normalized_adj(tree.adj, n))
+    preorder, parent, kids = _rooted(hung, n)
+    below = preorder[2:]  # the labeled edges are (parent[v], v)
+    labels = list(range(1, len(below) + 1) if label_values is None else label_values)
+    if len(labels) != len(below):
+        raise CertificateError(f"need {len(below)} edge labels, got {len(labels)}")
+    label_of = dict(zip(below, labels))
+    dist = {n: Fraction(0)}  # d(n, v)
+    for v in preorder[1:]:
+        dist[v] = dist[parent[v]] + hung.adj[parent[v]][v]
+    path = {preorder[1]: ()}  # series terms along v's path up to the root
+    for v in below:
+        path[v] = path[parent[v]] + ((2 * (E - dist[parent[v]]), label_of[v]),)
+    x = [PuiseuxPoly.from_terms(path[leaf]) for leaf in range(1, n)] + [PuiseuxPoly.monomial(1, 2 * E)]
 
     for i, j in combinations(range(1, n + 1), 2):
         got = (x[j - 1] - x[i - 1]).deg()
-        want = shifted.get(i, j)
+        want = 2 * E + D.get(i, j) - D.get(i, n) - D.get(j, n)
         if got != want:
             raise CertificateError(
                 f"degree check failed for pair ({i},{j}): deg {got} vs expected {want}"
@@ -291,7 +289,7 @@ def build_certificate(
     matrix = tuple(tuple(cols[c][r] for c in range(n)) for r in range(3))
 
     leaves_below: dict[int, tuple[int, ...]] = {}
-    for v in reversed(preorder):
+    for v in reversed(below):
         leaves_below[v] = tuple(sorted(leaf for k in kids[v] for leaf in leaves_below[k])) or (v,)
     newick = serialize_newick(tree)
     return ValuationCertificate(
@@ -299,7 +297,7 @@ def build_certificate(
         newick=newick,
         tree_hash=hashlib.sha256(newick.encode("utf-8")).hexdigest(),
         e_value=E,
-        edge_labels=tuple((leaves_below[v], label_of[v]) for v in preorder[1:]),
+        edge_labels=tuple((leaves_below[v], label_of[v]) for v in below),
         x_series=tuple(x),
         matrix=matrix,
     )

@@ -755,41 +755,37 @@ def _is_cherry(get: Callable[[int, int], Fraction], a: int, b: int, rest: Sequen
 
 
 def _normalized_adj(adj: dict[int, dict[int, Fraction]], n: int) -> dict[int, dict[int, Fraction]]:
-    """Contract zero-weight edges between unlabeled nodes and suppress
-    unlabeled degree-2 nodes; leaves 1..n are never touched."""
+    """Contract zero-weight edges between unlabeled nodes, drop unlabeled
+    degree-1 nodes and suppress unlabeled degree-2 nodes; leaves 1..n are
+    never touched.  One worklist pass: a node is queued again only when
+    its own neighborhood changed."""
     adj = {u: dict(nbrs) for u, nbrs in adj.items()}
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(adj):
-            if u <= n:
-                continue
-            deg = len(adj[u])
-            if deg == 1:
-                (v,) = adj[u]
-                del adj[v][u]
-                del adj[u]
-                changed = True
-                break
-            if deg == 2:
+    work = [u for u in adj if u > n]
+    while work:
+        u = work.pop()
+        if u not in adj:
+            continue
+        nbrs = adj[u]
+        if len(nbrs) <= 2:
+            work.extend(v for v in nbrs if v > n)
+            if len(nbrs) == 2:
                 _splice(adj, u)
-                changed = True
-                break
-            merged = False
-            for v in sorted(adj[u]):
-                if v > n and adj[u][v] == 0:
-                    del adj[u][v]
-                    del adj[v][u]
-                    for x, w in adj[v].items():
-                        adj[u][x] = w
-                        del adj[x][v]
-                        adj[x][u] = w
-                    del adj[v]
-                    merged = True
-                    break
-            if merged:
-                changed = True
-                break
+            else:
+                (v,) = nbrs
+                del adj[v][u], adj[u]
+            continue
+        zero = [v for v, w in nbrs.items() if v > n and w == 0]
+        if zero:
+            work.append(u)
+        while zero:
+            v = zero.pop()
+            del nbrs[v]
+            for x, w in adj.pop(v).items():
+                if x != u:
+                    del adj[x][v]
+                    nbrs[x] = adj[x][u] = w
+                    if x > n and w == 0:
+                        zero.append(x)
     return adj
 
 

@@ -175,23 +175,27 @@ class TestCheck:
         assert capsys.readouterr().out == serial
 
     @pytest.mark.parametrize(
-        "obj,flag",
+        "obj,command",
         [
-            ({"n": 4, "entries": []}, "--metric"),
-            ({"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1, 2": "7"}}, "--ultra"),
-            ('{"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1,2": "7"}}', "--ultra"),
-            ({"n": 3, "entries": {"1,2": "٣", "1,3": "1", "2,3": "1"}}, "--ultra"),
-            ({"n": 3, "entries": {"1,2": "1_000", "1,3": "1", "2,3": "1"}}, "--ultra"),
+            ({"n": 4, "entries": []}, ["check", "--metric"]),
+            ({"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1, 2": "7"}}, ["check", "--ultra"]),
+            ('{"n": 3, "entries": {"1,2": "1", "1,3": "1", "2,3": "1", "1,2": "7"}}', ["check", "--ultra"]),
+            ({"n": 3, "entries": {"1,2": "٣", "1,3": "1", "2,3": "1"}}, ["check", "--ultra"]),
+            ({"n": 3, "entries": {"1,2": "1_000", "1,3": "1", "2,3": "1"}}, ["check", "--ultra"]),
+            ("[" * 200000, ["check", "--metric"]),
+            ('{"n": 3, "entries": ' + "[" * 200000, ["membership3"]),
+            ("[" * 200000, ["reconstruct"]),
         ],
-        ids=["entries-list", "noncanonical-key", "repeated-key", "nonascii-digit", "underscore"],
+        ids=["entries-list", "noncanonical-key", "repeated-key", "nonascii-digit", "underscore",
+             "deep-check", "deep-membership3", "deep-reconstruct"],
     )
-    def test_malformed_entries_is_usage_error(self, tmp_path, obj, flag, capsys):
+    def test_malformed_entries_is_usage_error(self, tmp_path, obj, command, capsys):
         if isinstance(obj, str):  # JSON text that json.dumps cannot produce
             path = tmp_path / "bad.json"
             path.write_text(obj)
         else:
             path = write_json(tmp_path, "bad.json", obj)
-        assert main(["check", str(path), flag]) == 2
+        assert main([command[0], str(path), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 

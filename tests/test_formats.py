@@ -200,6 +200,10 @@ class TestCertificateJson:
         with pytest.raises(ValueError):
             ValuationCertificate.from_json_obj(obj)
 
+    def test_deep_json_text_is_value_error(self):
+        with pytest.raises(ValueError, match="JSON nesting is too deep"):
+            ValuationCertificate.from_json('{"n": 4, "matrix": ' + "[" * 200000)
+
 
 @pytest.mark.parametrize(
     "module,cls,obj,count",

@@ -1,6 +1,7 @@
 """Puiseux polynomials, 3x3 determinants and valuation certificates."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -15,13 +16,16 @@ from treedissim import (
     PuiseuxPoly,
     ValuationCertificate,
     Verdict,
+    WeightedTree,
     build_certificate,
+    build_equidistant,
     det3,
     dissimilarity_map,
     distance_matrix,
     parse_newick,
     puiseux,
     random_tree,
+    serialize_newick,
     triple_dissimilarity,
     verify_certificate,
 )
@@ -129,13 +133,8 @@ class TestBuildCertificate:
             "t^6",
         ]
 
-    def test_quartet_degree_identity(self, quartet, quartet_dm):
-        # before substitution, deg(x_j - x_i) equals the rerooted metric
-        cert = build_certificate(quartet)
-        shifted = reroot_ultrametric(quartet_dm, cert.e_value)
-        xs = cert.x_series
-        for i, j in combinations(range(1, 5), 2):
-            assert (xs[j - 1] - xs[i - 1]).deg() == shifted.get(i, j)
+    def test_quartet_degree_identity(self, quartet):
+        assert_matches_equidistant_oracle(quartet)
 
     def test_quartet_verifies(self, quartet, quartet_dm):
         cert = build_certificate(quartet)
@@ -166,6 +165,138 @@ class TestBuildCertificate:
     def test_two_leaves_rejected(self):
         with pytest.raises(CertificateError):
             build_certificate(parse_newick("(1:0,2:5);"))
+
+
+def preorder_clusters(clusters):
+    """Laminar leaf clusters in preorder, children by smallest leaf: sort
+    on the smallest leaves of the chain of enclosing clusters."""
+
+    def key(c):
+        chain = sorted((a for a in clusters if set(c) < set(a)), key=len, reverse=True)
+        return [min(a) for a in chain] + [min(c)]
+
+    return sorted(clusters, key=key)
+
+
+def equidistant_clusters(eq):
+    """The leaf cluster below every non-root node of a rooted tree."""
+    parent = {eq.root: None}
+    queue = [eq.root]
+    for u in queue:
+        for v in eq.adj[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    below = {}
+    for leaf in range(1, eq.n + 1):
+        v = leaf
+        while v != eq.root:
+            below.setdefault(v, []).append(leaf)
+            v = parent[v]
+    return [tuple(c) for c in below.values()]
+
+
+def assert_matches_equidistant_oracle(tree):
+    """The certificate agrees with the construction through the rerooted
+    ultrametric: deg(x_j - x_i) is its entry, and the edge clusters are
+    those of its equidistant tree, in preorder."""
+    n = tree.n
+    D = distance_matrix(tree)
+    cert = build_certificate(tree)
+    shifted = reroot_ultrametric(D, cert.e_value)
+    xs = cert.x_series
+    for i, j in combinations(range(1, n + 1), 2):
+        assert (xs[j - 1] - xs[i - 1]).deg() == shifted.get(i, j)
+    eq = build_equidistant(shifted.restrict(range(1, n)))
+    assert [c for c, _ in cert.edge_labels] == preorder_clusters(equidistant_clusters(eq))
+    assert verify_certificate(cert, triple_dissimilarity(D))
+
+
+def subdivide(adj, edge, fraction):
+    """Put a new node on ``edge``, ``fraction`` of its weight from edge[0]."""
+    u, v = edge
+    w = adj[u].pop(v)
+    del adj[v][u]
+    mid = max(adj) + 1
+    adj[mid] = {u: w * fraction, v: w - w * fraction}
+    adj[u][mid] = w * fraction
+    adj[v][mid] = w - w * fraction
+    return mid
+
+
+@st.composite
+def certified_trees(draw):
+    """Positively weighted trees in both shapes, optionally read back as a
+    rooted parse with a degree-2 root, with subdivided edges and dangling
+    unlabeled nodes added."""
+    n = draw(st.integers(3, 9))
+    shape = draw(st.sampled_from(["uniform-topology", "caterpillar"]))
+    tree = random_tree(n, seed=draw(st.integers(0, 10**6)), shape=shape)
+    fractions = st.sampled_from([F(1, 3), F(1, 2), F(3, 4)])
+
+    def edges(adj):
+        return sorted((u, v) for u in adj for v in adj[u] if u < v)
+
+    adj = {u: dict(nbrs) for u, nbrs in tree.adj.items()}
+    root = None
+    if draw(st.booleans()):
+        root = subdivide(adj, draw(st.sampled_from(edges(adj))), draw(fractions))
+        tree = parse_newick(serialize_newick(WeightedTree(n, adj, root)), rooted=True)
+        adj, root = tree.adj, tree.root
+    for _ in range(draw(st.integers(0, 3))):
+        subdivide(adj, draw(st.sampled_from(edges(adj))), draw(fractions))
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.sampled_from(sorted(x for x in adj if x > n)))
+        v = max(adj) + 1
+        adj[u][v] = F(1)
+        adj[v] = {u: F(1)}
+    return WeightedTree(n, adj, root)
+
+
+@given(tree=certified_trees())
+@settings(max_examples=60, deadline=None)
+def test_build_matches_equidistant_oracle(tree):
+    assert_matches_equidistant_oracle(tree)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_build_runs_no_metric_scan(monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("metric scan while building a certificate")
+
+    monkeypatch.setattr("treedissim.dissim.four_point_check", refuse)
+    monkeypatch.setattr("treedissim.trees.is_ultrametric", refuse)
+    for seed in range(3):
+        t = random_tree(n, seed=seed, shape="caterpillar" if seed == 2 else "uniform-topology")
+        assert verify_certificate(build_certificate(t), triple_dissimilarity(distance_matrix(t)))
+
+
+@pytest.mark.parametrize(
+    "tree,digest",
+    [
+        (
+            parse_newick("((1:1,2:2):1,(3:1,(4:2,5:1):3):2);", rooted=True),
+            "849667011143fa7dd3718f0e3565adec861355820161a4ee3ebcb1e17ba29715",
+        ),
+        (
+            parse_newick("(1:1,2:2,3:3,(4:1,5:1,6:2):1/2,7:5/3);"),
+            "6214f1f84d08c7af8f89c00609e3e4da5994aea6205cd0a1a9a985edab479ea3",
+        ),
+        (
+            # node 7 and its own leaf 8 dangle from node 6
+            WeightedTree(4, {1: {5: 1}, 2: {5: 2}, 3: {6: 1}, 4: {6: F(3, 2)}, 5: {1: 1, 2: 2, 6: 1},
+                             6: {5: 1, 3: 1, 4: F(3, 2), 7: 3}, 7: {6: 3, 8: F(1, 2)}, 8: {7: F(1, 2)}}),
+            "5173c57b0f42d1616d6acc5006f7407ec0505a536c233dfa689443e62e43043a",
+        ),
+        (
+            random_tree(8, seed=3, shape="caterpillar"),
+            "30ad9e96451344b0982da433470f4374eb1d50bea5e5bf7aa5ecfcb27a1e7ea3",
+        ),
+    ],
+    ids=["rooted-degree2-root", "multifurcation", "dangling-node", "caterpillar"],
+)
+def test_golden_certificates(tree, digest):
+    assert hashlib.sha256(build_certificate(tree).to_json().encode()).hexdigest() == digest
 
 
 class TestVerifyCertificate:

@@ -440,6 +440,14 @@ class TestReconstructTree:
         spanned = parse_newick("((1:1,2:1):0,3:1,4:1);")
         assert same_tree(collapsed, spanned)
         assert same_tree(reconstruct_tree(distance_matrix(spanned)), collapsed)
+        # a caterpillar whose internal edges are all zero is a star
+        n = 1600
+        cat = random_tree(n, seed=1, shape="caterpillar")
+        zeroed = {u: {v: F(0) if min(u, v) > n else w for v, w in nbrs.items()} for u, nbrs in cat.adj.items()}
+        pendant = {i: next(iter(cat.adj[i].values())) for i in range(1, n + 1)}
+        star = {i: {n + 1: w} for i, w in pendant.items()}
+        star[n + 1] = pendant
+        assert same_tree(WeightedTree(n, zeroed), WeightedTree(n, star))
 
     def test_failure_carries_verdict(self, bumped5):
         with pytest.raises(FourPointViolation) as exc:
@@ -456,6 +464,38 @@ class TestReconstructTree:
 def test_reconstruct_inverts_distance_matrix(n, seed):
     t = random_tree(n, seed=seed)
     assert same_tree(reconstruct_tree(distance_matrix(t)), t)
+
+
+@given(data=st.data(), n=st.integers(3, 8), seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_same_tree_ignores_degree_two_dangling_and_zero_edges(data, n, seed):
+    clean = random_tree(n, seed=seed)
+    adj = {u: dict(nbrs) for u, nbrs in clean.adj.items()}
+    for _ in range(data.draw(st.integers(1, 6))):
+        kind = data.draw(st.sampled_from(["subdivide", "dangle", "split"]))
+        new = max(adj) + 1
+        if kind == "split":  # move some of u's neighbors to a new node joined to u by a zero edge
+            u = data.draw(st.sampled_from(sorted(x for x in adj if x > n)))
+            adj[new] = {}
+            for x in data.draw(st.lists(st.sampled_from(sorted(adj[u])), unique=True)):
+                adj[new][x] = adj[x][new] = adj[u].pop(x)
+                del adj[x][u]
+            adj[u][new] = adj[new][u] = F(0)
+            continue
+        # a degree-2 node, possibly at one end of the edge
+        u, v = data.draw(st.sampled_from(sorted((u, v) for u in adj for v in adj[u] if u < v)))
+        w = adj[u].pop(v)
+        del adj[v][u]
+        part = w * data.draw(st.sampled_from([F(0), F(1, 2), F(1)]))
+        adj[new] = {u: part, v: w - part}
+        adj[u][new], adj[v][new] = part, w - part
+        if kind == "dangle":  # with an unlabeled leaf hanging from it
+            w = data.draw(st.sampled_from([F(0), F(1, 2), F(2)]))
+            adj[new][new + 1] = w
+            adj[new + 1] = {new: w}
+    messy = WeightedTree(n, {u: adj[u] for u in data.draw(st.permutations(list(adj)))})
+    assert same_tree(messy, clean)
+    assert serialize_newick(reconstruct_tree(distance_matrix(messy))) == serialize_newick(clean)
 
 
 @given(n=st.integers(3, 8), seed=st.integers(0, 10**6))
