@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .rationals import format_index_key, format_rational, parse_index_entries, parse_rational
+from .rationals import _load_json, format_index_key, format_rational, parse_index_entries, parse_rational
 from .tropical import Verdict
 from .trees import WeightedTree, _normalized_adj, _rooted, distance_matrix, serialize_newick
 from .dissim import DissimTensor
@@ -221,11 +221,7 @@ class ValuationCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "ValuationCertificate":
-        try:
-            obj = json.loads(text)
-        except RecursionError:
-            raise ValueError("JSON nesting is too deep") from None
-        return cls.from_json_obj(obj)
+        return cls.from_json_obj(_load_json(text))
 
 
 def build_certificate(

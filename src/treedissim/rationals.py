@@ -4,11 +4,13 @@ Every numeric quantity in this library (edge weights, distances,
 dissimilarity entries, exponents of Puiseux monomials) is a
 ``fractions.Fraction``.  Serialized form is the string ``"p"`` or
 ``"p/q"`` in lowest terms.  Entries indexed by label tuples are
-serialized as JSON objects keyed by ``"i,j,..."`` strings.
+serialized as JSON objects keyed by ``"i,j,..."`` strings, and every
+JSON text is read by :func:`_load_json`.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable
@@ -49,6 +51,24 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
     return value
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _load_json(text: str):
+    """Parse JSON text, raising ValueError on a repeated key in any
+    object and on nesting too deep for the parser."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep") from None
 
 
 def format_rational(value: Fraction) -> str:

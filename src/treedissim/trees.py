@@ -9,8 +9,9 @@ than n.  The module provides:
   (Steiner) weight oracle,
 - well-numbering of nodes by the inductive prefix-label construction,
 - subtree contraction, random generation, topology enumeration,
-- equidistant realization of ultrametrics and exact reconstruction of a
-  tree from its distance matrix by cherry picking.
+- exact reconstruction of a tree from its distance matrix by cherry
+  picking, the one tree builder here (equidistant realizations of
+  ultrametrics use it through an outgroup leaf).
 """
 
 from __future__ import annotations
@@ -688,62 +689,6 @@ def enumerate_topologies(n: int) -> TopologyIterator:
 
 
 # ---------------------------------------------------------------------------
-# Equidistant realization of ultrametrics
-
-
-def build_equidistant(D: DistanceMatrix) -> WeightedTree:
-    """Realize an ultrametric by a rooted tree with equal root-leaf paths.
-
-    Clusters are merged bottom-up at height D(i,j)/2; simultaneous
-    merges at one height become a single multifurcation.  The result's
-    root-to-leaf distance is max D(i,j) / 2 on every leaf and its
-    distance matrix reproduces D exactly.
-    """
-    verdict = is_ultrametric(D)
-    if not verdict:
-        raise UltrametricViolation(verdict)
-    n = D.n
-    adj: dict[int, dict[int, Fraction]] = {i: {} for i in range(1, n + 1)}
-    leaf_top = {i: i for i in range(1, n + 1)}  # leaf -> top node of its cluster
-    height = {i: Fraction(0) for i in range(1, n + 1)}  # top node -> height
-    next_id = n + 1
-    for d in sorted(set(D.entries.values())):
-        links: dict[int, set[int]] = {}
-        for (i, j), v in D.entries.items():
-            if v == d and leaf_top[i] != leaf_top[j]:
-                links.setdefault(leaf_top[i], set()).add(leaf_top[j])
-                links.setdefault(leaf_top[j], set()).add(leaf_top[i])
-        done: set[int] = set()
-        for start in sorted(links):
-            if start in done:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                for y in links.get(x, ()):
-                    if y not in comp:
-                        comp.add(y)
-                        frontier.append(y)
-            done |= comp
-            top = next_id
-            next_id += 1
-            adj[top] = {}
-            height[top] = d / 2
-            for child in sorted(comp):
-                w = d / 2 - height[child]
-                adj[top][child] = w
-                adj[child][top] = w
-            for leaf, t in leaf_top.items():
-                if t in comp:
-                    leaf_top[leaf] = top
-    tops = set(leaf_top.values())
-    if len(tops) != 1:
-        raise TreeError("internal error: merging did not produce a single cluster")
-    return WeightedTree(n, adj, root=tops.pop())
-
-
-# ---------------------------------------------------------------------------
 # Reconstruction from a tree metric
 
 
@@ -789,25 +734,14 @@ def _normalized_adj(adj: dict[int, dict[int, Fraction]], n: int) -> dict[int, di
     return adj
 
 
-def reconstruct_tree(D: DistanceMatrix) -> WeightedTree:
-    """Recover the unique tree realizing a tree metric, by cherry picking.
-
-    Requires the (non-strict) four-point condition, which subsumes
-    non-negativity and the triangle inequality; otherwise raises
-    :class:`FourPointViolation` with the violating quadruple.  At each
-    step the lexicographically first pair (a, b) whose difference
-    D(a,c) - D(b,c) is constant over all other active labels is merged
-    at its meet point.  Zero-length internal edges are contracted, so
-    the output has no unlabeled degree-2 nodes.
+def _cherry_tree(D: DistanceMatrix) -> WeightedTree:
+    """Cherry picking: at each step the lexicographically first pair
+    (a, b) whose difference D(a,c) - D(b,c) is constant over all other
+    active labels is merged at its meet point, and zero-length internal
+    edges are contracted at the end.  Raises :class:`TreeError` when no
+    pair qualifies or a weight comes out negative.
     """
-    verdict = four_point_check(D, strict=False)
-    if not verdict:
-        raise FourPointViolation(verdict)
     n = D.n
-    if n == 2:
-        w = D.get(1, 2)
-        return WeightedTree(2, {1: {2: w}, 2: {1: w}})
-
     dist: dict[tuple[int, int], Fraction] = dict(D.entries)
 
     def dget(a: int, b: int) -> Fraction:
@@ -823,7 +757,7 @@ def reconstruct_tree(D: DistanceMatrix) -> WeightedTree:
                 pair = (a, b)
                 break
         if pair is None:
-            raise TreeError("internal error: no mergeable pair in a tree metric")
+            raise TreeError("no pair of labels is a cherry")
         a, b = pair
         c0 = next(c for c in active if c != a and c != b)
         wa = (dget(a, b) + dget(a, c0) - dget(b, c0)) / 2
@@ -842,6 +776,52 @@ def reconstruct_tree(D: DistanceMatrix) -> WeightedTree:
     adj[x][y] = w
     adj[y][x] = w
     return WeightedTree(n, _normalized_adj(adj, n))
+
+
+def reconstruct_tree(D: DistanceMatrix) -> WeightedTree:
+    """Recover the unique tree realizing a tree metric, by cherry picking.
+
+    A tree metric is exactly a matrix that some non-negatively weighted
+    tree realizes, so D is accepted when the cherry-picked tree passes
+    the exact check ``distance_matrix(tree) == D``.  The output has no
+    unlabeled degree-2 nodes.  Otherwise the (non-strict) four-point
+    scan, which subsumes non-negativity and the triangle inequality,
+    names the lexicographically first violating quadruple in the raised
+    :class:`FourPointViolation`; it runs only on rejection.
+    """
+    try:
+        tree = _cherry_tree(D)
+    except TreeError:
+        pass
+    else:
+        if distance_matrix(tree) == D:
+            return tree
+    verdict = four_point_check(D, strict=False)
+    if verdict:
+        raise RuntimeError("internal error: cherry picking did not realize a tree metric")
+    raise FourPointViolation(verdict)
+
+
+def build_equidistant(D: DistanceMatrix) -> WeightedTree:
+    """Realize an ultrametric by a rooted tree with equal root-leaf paths.
+
+    An outgroup leaf n+1 at distance M = max D from every leaf makes D a
+    tree metric (the rerooting of :func:`~treedissim.dissim.reroot_ultrametric`
+    read backwards).  The tree :func:`reconstruct_tree` builds for it,
+    rooted at the outgroup's neighbor once the outgroup is removed, is
+    the result: simultaneous merges form one multifurcation, every leaf
+    sits M/2 below the root, and its distance matrix is D.
+    """
+    verdict = is_ultrametric(D)
+    if not verdict:
+        raise UltrametricViolation(verdict)
+    n = D.n
+    top = max(D.entries.values())
+    outgroup = {(i, n + 1): top for i in range(1, n + 1)}
+    adj = reconstruct_tree(DistanceMatrix(n + 1, {**D.entries, **outgroup})).adj
+    (root,) = adj.pop(n + 1)
+    del adj[root][n + 1]
+    return WeightedTree(n, adj, root=root)
 
 
 def same_tree(a: WeightedTree, b: WeightedTree) -> bool:

@@ -200,9 +200,19 @@ class TestCertificateJson:
         with pytest.raises(ValueError):
             ValuationCertificate.from_json_obj(obj)
 
-    def test_deep_json_text_is_value_error(self):
-        with pytest.raises(ValueError, match="JSON nesting is too deep"):
-            ValuationCertificate.from_json('{"n": 4, "matrix": ' + "[" * 200000)
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda text: '{"n": 4, "matrix": ' + "[" * 200000, "JSON nesting is too deep"),
+            (lambda text: text.replace('"E": ', '"E": "99", "E": ', 1), "repeats the key 'E'"),
+            (lambda text: text.replace('"n": ', '"n": 5, "n": ', 1), "repeats the key 'n'"),
+        ],
+        ids=["deep", "repeated-E", "repeated-n"],
+    )
+    def test_malformed_json_text_is_value_error(self, quartet, edit, message):
+        text = build_certificate(quartet).to_json()
+        with pytest.raises(ValueError, match=message):
+            ValuationCertificate.from_json(edit(text))
 
 
 @pytest.mark.parametrize(

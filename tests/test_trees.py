@@ -20,9 +20,11 @@ from treedissim import (
     contract_subtree,
     distance_matrix,
     enumerate_topologies,
+    four_point_check,
     parse_newick,
     random_tree,
     reconstruct_tree,
+    reroot_ultrametric,
     same_tree,
     serialize_newick,
     steiner_weight,
@@ -378,12 +380,30 @@ class TestEnumerateTopologies:
             list(enumerate_topologies(2))
 
 
+def _matrix(n, entry):
+    return DistanceMatrix(n, {(i, j): F(entry(i, j)) for i, j in combinations(range(1, n + 1), 2)})
+
+
 class TestBuildEquidistant:
-    def test_cherry_example(self):
-        d = DistanceMatrix(3, {(1, 2): F(2), (1, 3): F(4), (2, 3): F(4)})
+    @pytest.mark.parametrize(
+        "d,newick",
+        [
+            (_matrix(3, lambda i, j: 2 if j == 2 else 4), "((1:1,2:1):1,3:2);"),
+            (_matrix(2, lambda i, j: 3), "(1:3/2,2:3/2);"),
+            (_matrix(4, lambda i, j: 0), "(1:0,2:0,3:0,4:0);"),
+            (_matrix(4, lambda i, j: {(1, 2): 0, (1, 3): 2, (2, 3): 2}.get((i, j), 4)),
+             "(((1:0,2:0):1,3:1):1,4:2);"),
+            (_matrix(5, lambda i, j: 2 if (i, j) in [(1, 2), (3, 4)] else 6),
+             "((1:1,2:1):2,(3:1,4:1):2,5:3);"),
+            (_matrix(5, lambda i, j: 2 * (j - 1)), "((((1:1,2:1):1,3:2):1,4:3):1,5:4);"),
+        ],
+        ids=["cherry", "two-leaves", "all-zero", "zero-pair", "three-way-top", "caterpillar"],
+    )
+    def test_cherry_example(self, d, newick):
         t = build_equidistant(d)
-        assert serialize_newick(t) == "((1:1,2:1):1,3:2);"
+        assert serialize_newick(t) == newick
         assert t.root is not None
+        assert distance_matrix(t) == d
 
     def test_star_from_equilateral(self, ones5):
         d = ones5.restrict([1, 2, 3, 4])
@@ -457,6 +477,62 @@ class TestReconstructTree:
     def test_distinct_labelled_shapes_differ(self, quartet):
         other = parse_newick("((1:1,3:1):1,2:1,4:1);")
         assert not same_tree(quartet, other)
+
+
+def test_tree_metrics_are_accepted_without_the_four_point_scan(monkeypatch):
+    def no_scan(D, strict=False):
+        raise AssertionError("four-point scan ran on a tree metric")
+
+    monkeypatch.setattr("treedissim.trees.four_point_check", no_scan)
+    two = DistanceMatrix(2, {(1, 2): F(5, 3)})
+    assert distance_matrix(reconstruct_tree(two)) == two
+    for n in range(3, 13):
+        for shape in ("uniform-topology", "caterpillar"):
+            t = random_tree(n, seed=n, shape=shape)
+            assert same_tree(reconstruct_tree(distance_matrix(t)), t)
+            # leaf n at distance 2E from the rest: ultrametric on 1..n-1
+            D = distance_matrix(t)
+            E = max(D.get(i, n) for i in range(1, n))
+            U = reroot_ultrametric(D, E).restrict(range(1, n))
+            assert distance_matrix(build_equidistant(U)) == U
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["tree", "bumped", "arbitrary", "negative-pendant"]))
+    if kind == "arbitrary" or n == 2:
+        value = st.fractions(-3, 9, max_denominator=3)
+        return DistanceMatrix(n, {p: draw(value) for p in combinations(range(1, n + 1), 2)})
+    shape = draw(st.sampled_from(["uniform-topology", "caterpillar"]))
+    t = random_tree(n, seed=draw(st.integers(0, 10**6)), shape=shape)
+    D = distance_matrix(t)
+    if kind == "tree":
+        return D
+    entries = dict(D.entries)
+    if kind == "bumped":
+        pair = draw(st.sampled_from(sorted(entries)))
+        entries[pair] += draw(st.sampled_from([F(-1), F(-1, 2), F(1, 2), F(3)]))
+    else:  # move leaf's pendant weight from w to -w
+        leaf = draw(st.integers(1, n))
+        w = next(iter(t.adj[leaf].values()))
+        for pair in entries:
+            if leaf in pair:
+                entries[pair] -= 2 * w
+    return DistanceMatrix(n, entries)
+
+
+@given(D=_matrices())
+@settings(max_examples=150, deadline=None)
+def test_reconstruct_agrees_with_the_four_point_scan(D):
+    reference = four_point_check(D, strict=False)
+    try:
+        tree = reconstruct_tree(D)
+    except FourPointViolation as exc:
+        assert exc.verdict == reference
+    else:
+        assert reference
+        assert distance_matrix(tree) == D
 
 
 @given(n=st.integers(3, 8), seed=st.integers(0, 10**6))
