@@ -396,33 +396,27 @@ def _invert3_elimination(W: DissimTensor) -> DistanceMatrix:
         raise InversionError(
             f"system is rank deficient ({len(pivot_of_col)} pivots for {ncols} unknowns)"
         )
-    # inconsistent surplus rows are not checked here: the caller verifies
-    # the candidate by mapping forward, which names the failing triple
+    # inconsistent surplus rows are not checked here: this solver is a
+    # test oracle, and the tests map its candidate forward themselves
     entries = {p: rows[pivot_of_col[col[p]]][ncols] for p in pairs}
     return DistanceMatrix(n, entries)
 
 
-def invert_triple_dissimilarity(W: DissimTensor, method: str = "formula") -> DistanceMatrix:
+def invert_triple_dissimilarity(W: DissimTensor) -> DistanceMatrix:
     """Recover the unique matrix whose triple dissimilarity is W.
 
     Needs n >= 5; for n <= 4 the linear system has a nontrivial kernel
-    and no unique preimage exists.  The closed-form path is validated
-    against the exact elimination path (kept available via
-    ``method="elimination"``).  The result is always verified by mapping
-    forward again; a mismatch raises :class:`InversionError` with the
-    first failing triple.
+    and no unique preimage exists.  The closed form is computed and
+    then verified by mapping forward again; a mismatch raises
+    :class:`InversionError` with the first failing triple.  (The tests
+    check the closed form against an exact Gauss-Jordan solver.)
     """
     if W.m != 3:
         raise ValueError("inversion needs an m=3 tensor")
     n = W.n
     if n <= 4:
         raise ValueError(f"inversion needs n >= 5; the n={n} system is underdetermined")
-    if method == "formula":
-        X = _invert3_formula(W)
-    elif method == "elimination":
-        X = _invert3_elimination(W)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    X = _invert3_formula(W)
     back = triple_dissimilarity(X)
     for key in combinations(range(1, n + 1), 3):
         if back.entries[key] != W.entries[key]:
@@ -544,7 +538,7 @@ def pairing_map(D: DistanceMatrix) -> PairingPoint:
         raise ValueError("pairing map needs n >= 4")
     entries = {}
     for p, q in _pair_pairs(n):
-        own, *crossing = _pairing_sums(D, *p, *q)
+        own, *crossing = _pairing_sums(D.get, *p, *q)
         entries[(p, q)] = (own + min(crossing)) / 2
     return PairingPoint(n, entries)
 
@@ -618,7 +612,7 @@ def verify_m4_characterization(D: DistanceMatrix) -> M4Report:
     is checkable."""
     reports = []
     for quad in combinations(range(1, D.n + 1), 4):
-        a, b, c = sums = _pairing_sums(D, *quad)
+        a, b, c = sums = _pairing_sums(D.get, *quad)
         coords = (a + min(b, c), b + min(a, c), c + min(a, b))
         reports.append(
             QuadrupleReport(quad, sums, max_twice(sums), coords[0] == coords[1] == coords[2])

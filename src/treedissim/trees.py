@@ -7,7 +7,6 @@ than n.  The module provides:
 - Newick parsing/serialization with exact branch lengths,
 - leaf-to-leaf distance matrices and the minimal-spanning-subtree
   (Steiner) weight oracle,
-- well-numbering of nodes by the inductive prefix-label construction,
 - subtree contraction, random generation, topology enumeration,
 - exact reconstruction of a tree from its distance matrix by cherry
   picking, the one tree builder here (equidistant realizations of
@@ -18,9 +17,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -135,9 +133,6 @@ class WeightedTree:
     def has_strictly_positive_weights(self) -> bool:
         return all(w > 0 for _, _, w in self.edges())
 
-    def copy(self) -> "WeightedTree":
-        return WeightedTree(self.n, {u: dict(nb) for u, nb in self.adj.items()}, self.root)
-
 
 @dataclass
 class DistanceMatrix:
@@ -196,53 +191,6 @@ class DistanceMatrix:
         # __post_init__ checks that the keys are exactly the pairs i<j.
         entries = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj["entries"])}
         return cls(n, entries)
-
-
-@total_ordering
-@dataclass(frozen=True)
-class AlphaLabel:
-    """Finite-support label compared position by position.
-
-    Stored with trailing zeros stripped; all retained entries are >= 1
-    (child indices), so comparing the stripped tuples lexicographically
-    agrees with comparing the zero-padded sequences.
-    """
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        trimmed = self.entries
-        while trimmed and trimmed[-1] == 0:
-            trimmed = trimmed[:-1]
-        if any(e < 1 for e in trimmed):
-            raise ValueError("label entries must be positive before the zero tail")
-        object.__setattr__(self, "entries", trimmed)
-
-    @property
-    def depth(self) -> int:
-        """Number of nonzero entries."""
-        return len(self.entries)
-
-    def __lt__(self, other: "AlphaLabel") -> bool:
-        return self.entries < other.entries
-
-    def child(self, index: int) -> "AlphaLabel":
-        return AlphaLabel(self.entries + (index,))
-
-
-@dataclass(frozen=True)
-class WellNumbering:
-    """Node labels plus the induced leaf renumbering.
-
-    ``alpha`` maps every node to its :class:`AlphaLabel`; ``leaf_order``
-    lists the original leaves sorted by label, and ``relabel`` sends an
-    original leaf to its 1-based rank, so relabeled leaves satisfy
-    i < j iff alpha(i) < alpha(j).
-    """
-
-    alpha: dict[int, AlphaLabel]
-    leaf_order: tuple[int, ...]
-    relabel: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -494,31 +442,6 @@ def steiner_weight(tree: WeightedTree, V: Iterable[int]) -> Fraction:
     return sum(
         (tree.adj[u][p] for u, p in _steiner_edges(tree, V)), Fraction(0)
     )
-
-
-# ---------------------------------------------------------------------------
-# Well-numbering
-
-
-def well_number(tree: WeightedTree, root: int) -> WellNumbering:
-    """Label nodes by the inductive prefix rule and renumber leaves.
-
-    The root gets the empty label; the i-th child (ordered by smallest
-    descendant leaf) of a node labeled (a_1..a_s) gets (a_1..a_s, i).
-    Ancestors always precede descendants, and for incomparable nodes the
-    order is decided at their lowest common ancestor, so sorting leaves
-    by label yields a numbering where subtrees hold consecutive blocks.
-    """
-    if root not in tree.adj:
-        raise TreeError(f"root {root} is not a node of the tree")
-    preorder, _, kids = _rooted(tree, root)
-    alpha: dict[int, AlphaLabel] = {root: AlphaLabel(())}
-    for node in preorder:
-        for idx, child in enumerate(kids[node], start=1):
-            alpha[child] = alpha[node].child(idx)
-    leaf_order = tuple(sorted(range(1, tree.n + 1), key=lambda l: alpha[l]))
-    relabel = {leaf: rank + 1 for rank, leaf in enumerate(leaf_order)}
-    return WellNumbering(alpha, leaf_order, relabel)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here reduces to one combinatorial test: a max-plus expression
 "vanishes tropically" when its maximum is attained at least twice.
 ``four_point_check`` and ``is_ultrametric`` apply the test to distance
-matrices, ``three_term_plucker_check`` to dissimilarity tensors.
+matrices, ``three_term_plucker_check`` to dissimilarity tensors (for
+each (m-2)-set R, the strict four-point check on L_R(i,j) = W(R+ij)).
 
 All predicates return a :class:`Verdict` rather than raising, and report
 the lexicographically first violation so failures are reproducible.
@@ -50,13 +51,23 @@ def max_twice(values: Sequence[Fraction]) -> bool:
     return False
 
 
-def _pairing_sums(D, i: int, j: int, k: int, l: int) -> tuple:
+def _pairing_sums(get, i: int, j: int, k: int, l: int) -> tuple:
     """The sums over the pairings ij|kl, ik|jl and il|jk, in that order."""
     return (
-        D.get(i, j) + D.get(k, l),
-        D.get(i, k) + D.get(j, l),
-        D.get(i, l) + D.get(j, k),
+        get(i, j) + get(k, l),
+        get(i, k) + get(j, l),
+        get(i, l) + get(j, k),
     )
+
+
+def _first_unbalanced(get, quads) -> Verdict:
+    """Fail at the first quadruple whose largest pairing sum under ``get``
+    is attained only once, with its three sums; pass if there is none."""
+    for q in quads:
+        vals = _pairing_sums(get, *q)
+        if not max_twice(vals):
+            return Verdict(False, witness=q, values=vals)
+    return Verdict(True)
 
 
 def four_point_check(D, strict: bool = False) -> Verdict:
@@ -70,17 +81,11 @@ def four_point_check(D, strict: bool = False) -> Verdict:
     (the tropical-hypersurface reading, which tolerates negative
     entries).
     """
+    if strict and D.n < 4:
+        return Verdict(True, note=f"no quadruple of distinct labels for n={D.n}; vacuous")
     labels = range(1, D.n + 1)
     quads = combinations(labels, 4) if strict else combinations_with_replacement(labels, 4)
-    seen = False
-    for q in quads:
-        seen = True
-        vals = _pairing_sums(D, *q)
-        if not max_twice(vals):
-            return Verdict(False, witness=q, values=vals)
-    if not seen:
-        return Verdict(True, note=f"no quadruple of distinct labels for n={D.n}; vacuous")
-    return Verdict(True)
+    return _first_unbalanced(D.get, quads)
 
 
 def is_ultrametric(D) -> Verdict:
@@ -107,24 +112,21 @@ def three_term_plucker_check(W) -> Verdict:
 
     For every (m-2)-subset R and distinct i<j<k<l outside R, the maximum
     of ``W(R+ij)+W(R+kl), W(R+ik)+W(R+jl), W(R+il)+W(R+jk)`` must be
-    attained at least twice.  With n < m+2 no such quadruple exists and
-    the check passes vacuously (flagged in the note).
+    attained at least twice: per R, in lexicographic order, the strict
+    four-point check on the link L_R(i,j) = W(R+ij).  With n < m+2 no
+    such quadruple exists and the check passes vacuously (flagged in
+    the note).
     """
     n, m = W.n, W.m
     if n < m + 2:
         return Verdict(True, note=f"no quadruple outside an (m-2)-set for n={n}, m={m}; vacuous")
     labels = range(1, n + 1)
     for R in combinations(labels, m - 2):
-        rset = set(R)
-        rest = [x for x in labels if x not in rset]
-        for i, j, k, l in combinations(rest, 4):
-            vals = (
-                W.value(R + (i, j)) + W.value(R + (k, l)),
-                W.value(R + (i, k)) + W.value(R + (j, l)),
-                W.value(R + (i, l)) + W.value(R + (j, k)),
-            )
-            if not max_twice(vals):
-                return Verdict(False, witness=(R, (i, j, k, l)), values=vals)
+        rest = [x for x in labels if x not in R]
+        link = {(i, j): W.value(R + (i, j)) for i, j in combinations(rest, 2)}
+        verdict = _first_unbalanced(lambda i, j: link[i, j], combinations(rest, 4))
+        if not verdict:
+            return Verdict(False, witness=(R, verdict.witness), values=verdict.values)
     return Verdict(True)
 
 

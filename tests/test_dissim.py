@@ -34,6 +34,7 @@ from treedissim import (
     triple_membership,
     verify_m4_characterization,
 )
+from treedissim.dissim import _invert3_elimination
 
 F = Fraction
 
@@ -168,8 +169,8 @@ class TestInversion:
         for n, seed in [(5, 0), (6, 1), (7, 2), (8, 3)]:
             d = distance_matrix(random_tree(n, seed=seed))
             w = triple_dissimilarity(d)
-            assert invert_triple_dissimilarity(w, method="formula") == d
-            assert invert_triple_dissimilarity(w, method="elimination") == d
+            assert invert_triple_dissimilarity(w) == d
+            assert _invert3_elimination(w) == d
 
     def test_roundtrip_on_arbitrary_symmetric_matrices(self):
         # inversion is linear algebra; it must not assume a metric
@@ -180,8 +181,8 @@ class TestInversion:
             n = rng.randint(5, 8)
             d = symmetric_matrix(n, rng)
             w = triple_dissimilarity(d)
-            by_formula = invert_triple_dissimilarity(w, method="formula")
-            by_elimination = invert_triple_dissimilarity(w, method="elimination")
+            by_formula = invert_triple_dissimilarity(w)
+            by_elimination = _invert3_elimination(w)
             assert by_formula == d
             assert by_elimination == d
 
@@ -195,21 +196,17 @@ class TestInversion:
         with pytest.raises(ValueError):
             invert_triple_dissimilarity(w)
 
-    def test_unknown_method_rejected(self, ones5):
-        w = triple_dissimilarity(ones5)
-        with pytest.raises(ValueError):
-            invert_triple_dissimilarity(w, method="magic")
-
     def test_bump_off_image_detected_for_n6(self):
         d = distance_matrix(random_tree(6, seed=3))
         w = triple_dissimilarity(d)
         entries = dict(w.entries)
         entries[(1, 2, 3)] += 1
         bad = DissimTensor(6, 3, entries)
-        for method in ("formula", "elimination"):
-            with pytest.raises(InversionError) as exc:
-                invert_triple_dissimilarity(bad, method=method)
-            assert len(exc.value.witness) == 3
+        with pytest.raises(InversionError) as exc:
+            invert_triple_dissimilarity(bad)
+        assert len(exc.value.witness) == 3
+        # the oracle returns its pivot solution; mapping it forward misses
+        assert triple_dissimilarity(_invert3_elimination(bad)) != bad
 
     def test_bump_preimage_at_n5_is_explicit(self, ones5):
         # n=5 the system is square: the bump direction pulls back to the

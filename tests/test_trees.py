@@ -1,5 +1,5 @@
 """Tree structures: Newick IO, distances, Steiner weights, contraction,
-well-numbering, generators, equidistant building and reconstruction."""
+generators, equidistant building and reconstruction."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedissim import (
-    AlphaLabel,
     DistanceMatrix,
     FourPointViolation,
     NewickError,
@@ -28,7 +27,6 @@ from treedissim import (
     same_tree,
     serialize_newick,
     steiner_weight,
-    well_number,
 )
 
 F = Fraction
@@ -257,39 +255,6 @@ class TestContractSubtree:
     def test_full_leaf_set_rejected(self, quartet):
         with pytest.raises(ValueError):
             contract_subtree(quartet, [1, 2, 3, 4])
-
-
-class TestWellNumber:
-    def test_quartet_from_cherry_root(self, quartet):
-        root = next(
-            v for v in quartet.nodes if quartet.degree(v) > 1 and 3 in quartet.adj[v]
-        )
-        wn = well_number(quartet, root)
-        assert wn.alpha[root].entries == ()
-        assert wn.leaf_order == (1, 2, 3, 4)
-        leaf_alphas = [wn.alpha[leaf].entries for leaf in wn.leaf_order]
-        assert leaf_alphas == sorted(leaf_alphas)
-
-    def test_relabel_ranks_leaf_order(self):
-        for n, shape in [(7, "uniform-topology"), (1500, "caterpillar")]:
-            t = random_tree(n, seed=9, shape=shape)
-            wn = well_number(t, max(t.nodes))
-            assert sorted(wn.relabel.values()) == list(range(1, n + 1))
-            for idx, leaf in enumerate(wn.leaf_order):
-                assert wn.relabel[leaf] == idx + 1
-
-    def test_alpha_labels_strip_trailing_zeros(self):
-        assert AlphaLabel((2, 0, 0)) == AlphaLabel((2,))
-
-    def test_alpha_label_ordering(self):
-        a = AlphaLabel((1,))
-        assert a < AlphaLabel((1, 1)) < AlphaLabel((1, 2)) < AlphaLabel((2,))
-        assert a.child(3) == AlphaLabel((1, 3))
-        assert AlphaLabel((1, 2)).depth == 2
-
-    def test_alpha_label_rejects_nonpositive_entries(self):
-        with pytest.raises(ValueError):
-            AlphaLabel((0, 1))
 
 
 class TestRandomTree:

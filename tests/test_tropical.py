@@ -1,5 +1,6 @@
 """Max-plus primitives and the three membership predicates."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from treedissim import (
     DissimTensor,
     DistanceMatrix,
     Verdict,
+    dissimilarity_map,
     distance_matrix,
     four_point_check,
     is_ultrametric,
@@ -181,3 +183,53 @@ def test_ultrametric_implies_four_point(n, data):
     d = DistanceMatrix(n, entries)
     assert is_ultrametric(d)
     assert four_point_check(d, strict=False)
+
+
+def three_term_reference(W):
+    """The three-term scan as first written: six tensor lookups per
+    quadruple, no shared four-point helper."""
+    n, m = W.n, W.m
+    if n < m + 2:
+        return Verdict(True, note=f"no quadruple outside an (m-2)-set for n={n}, m={m}; vacuous")
+    labels = range(1, n + 1)
+    for R in combinations(labels, m - 2):
+        rest = [x for x in labels if x not in set(R)]
+        for i, j, k, l in combinations(rest, 4):
+            vals = (
+                W.value(R + (i, j)) + W.value(R + (k, l)),
+                W.value(R + (i, k)) + W.value(R + (j, l)),
+                W.value(R + (i, l)) + W.value(R + (j, k)),
+            )
+            if not max_twice(vals):
+                return Verdict(False, witness=(R, (i, j, k, l)), values=vals)
+    return Verdict(True)
+
+
+def small_rational(rng):
+    return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+@given(
+    m=st.integers(2, 5),
+    extra=st.integers(0, 5),
+    kind=st.sampled_from(["tree", "bumped", "leaf-shifted", "arbitrary"]),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_three_term_matches_reference_scan(m, extra, kind, seed):
+    n = m + extra
+    rng = random.Random(seed)
+    subsets = list(combinations(range(1, n + 1), m))
+    if kind == "arbitrary":
+        entries = {S: small_rational(rng) for S in subsets}
+    else:
+        # a tree metric restricted to 1..n, so n = 2 works too
+        d = distance_matrix(random_tree(max(n, 3), seed=seed)).restrict(range(1, n + 1))
+        entries = dict(dissimilarity_map(d, m).entries)
+        if kind == "bumped":
+            entries[rng.choice(subsets)] += rng.choice([-1, 1]) * F(rng.randint(1, 4), rng.randint(1, 2))
+        elif kind == "leaf-shifted":
+            r = {i: small_rational(rng) for i in range(1, n + 1)}
+            entries = {S: v + sum(r[i] for i in S) for S, v in entries.items()}
+    W = DissimTensor(n, m, entries)
+    assert three_term_plucker_check(W) == three_term_reference(W)
