@@ -701,6 +701,16 @@ def _cherry_tree(D: DistanceMatrix) -> WeightedTree:
     return WeightedTree(n, _normalized_adj(adj, n))
 
 
+def _realized(D: DistanceMatrix) -> WeightedTree | None:
+    """The cherry-picked tree if ``distance_matrix(tree) == D``, else
+    None.  The exact check is the acceptance proof."""
+    try:
+        tree = _cherry_tree(D)
+    except TreeError:
+        return None
+    return tree if distance_matrix(tree) == D else None
+
+
 def reconstruct_tree(D: DistanceMatrix) -> WeightedTree:
     """Recover the unique tree realizing a tree metric, by cherry picking.
 
@@ -712,13 +722,9 @@ def reconstruct_tree(D: DistanceMatrix) -> WeightedTree:
     names the lexicographically first violating quadruple in the raised
     :class:`FourPointViolation`; it runs only on rejection.
     """
-    try:
-        tree = _cherry_tree(D)
-    except TreeError:
-        pass
-    else:
-        if distance_matrix(tree) == D:
-            return tree
+    tree = _realized(D)
+    if tree is not None:
+        return tree
     verdict = four_point_check(D, strict=False)
     if verdict:
         raise RuntimeError("internal error: cherry picking did not realize a tree metric")

@@ -5,6 +5,9 @@ Everything here reduces to one combinatorial test: a max-plus expression
 ``four_point_check`` and ``is_ultrametric`` apply the test to distance
 matrices, ``three_term_plucker_check`` to dissimilarity tensors (for
 each (m-2)-set R, the strict four-point check on L_R(i,j) = W(R+ij)).
+The three-term check accepts each R by building the tree of the
+shifted link (Buneman's theorem); its quadruple scan runs only on the
+first R whose build fails, to name the witness.
 
 All predicates return a :class:`Verdict` rather than raising, and report
 the lexicographically first violation so failures are reproducible.
@@ -116,7 +119,18 @@ def three_term_plucker_check(W) -> Verdict:
     four-point check on the link L_R(i,j) = W(R+ij).  With n < m+2 no
     such quadruple exists and the check passes vacuously (flagged in
     the note).
+
+    Each R is accepted by building a tree: adding C = 3*max|L_R| + 1 to
+    every link entry shifts all three sums of a distinct quadruple by
+    2C and makes non-negativity and the triangle inequality hold, so
+    L_R passes the strict check iff L_R + C is a tree metric (Buneman),
+    iff cherry picking realizes it exactly.  The quadruple scan runs
+    only on the first R whose build fails, and names its first
+    violating quadruple.
     """
+    # trees imports this module, so its tree builder is imported here.
+    from .trees import DistanceMatrix, _realized
+
     n, m = W.n, W.m
     if n < m + 2:
         return Verdict(True, note=f"no quadruple outside an (m-2)-set for n={n}, m={m}; vacuous")
@@ -124,9 +138,14 @@ def three_term_plucker_check(W) -> Verdict:
     for R in combinations(labels, m - 2):
         rest = [x for x in labels if x not in R]
         link = {(i, j): W.value(R + (i, j)) for i, j in combinations(rest, 2)}
+        shift = 3 * max(abs(v) for v in link.values()) + 1
+        shifted = {(a, b): link[i, j] + shift for (a, i), (b, j) in combinations(enumerate(rest, 1), 2)}
+        if _realized(DistanceMatrix(len(rest), shifted)) is not None:
+            continue
         verdict = _first_unbalanced(lambda i, j: link[i, j], combinations(rest, 4))
-        if not verdict:
-            return Verdict(False, witness=(R, verdict.witness), values=verdict.values)
+        if verdict:
+            raise RuntimeError("internal error: a link passed the scan but its tree build failed")
+        return Verdict(False, witness=(R, verdict.witness), values=verdict.values)
     return Verdict(True)
 
 

@@ -1,5 +1,6 @@
 """Max-plus primitives and the three membership predicates."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -21,6 +22,7 @@ from treedissim import (
     three_term_plucker_check,
     triple_dissimilarity,
 )
+from treedissim.cli import main
 
 F = Fraction
 
@@ -144,6 +146,13 @@ class TestThreeTermRelations:
         assert verdict.witness == ((1,), (2, 3, 4, 5))
         assert verdict.values == (F(4), F(3), F(3))
 
+    def test_link_that_is_no_metric_passes(self):
+        # a star with pendant -3/2 at leaf 1 and 1/2 elsewhere: every
+        # quadruple balances, but L(1,2) + L(1,3) + 2*max|L| < L(2,3), so
+        # the tree build needs a shift above 3*max|L|
+        w = DissimTensor(5, 2, {S: F(-1) if 1 in S else F(1) for S in combinations(range(1, 6), 2)})
+        assert three_term_plucker_check(w) == Verdict(True)
+
     def test_matrix_tensor_reduces_to_four_point(self, bumped5):
         w = DissimTensor(5, 2, dict(bumped5.entries))
         verdict = three_term_plucker_check(w)
@@ -212,24 +221,49 @@ def small_rational(rng):
 @given(
     m=st.integers(2, 5),
     extra=st.integers(0, 5),
-    kind=st.sampled_from(["tree", "bumped", "leaf-shifted", "arbitrary"]),
+    kind=st.sampled_from(["tree", "bumped", "late-bump", "leaf-shifted", "arbitrary", "constant"]),
     seed=st.integers(0, 10**6),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_three_term_matches_reference_scan(m, extra, kind, seed):
     n = m + extra
     rng = random.Random(seed)
     subsets = list(combinations(range(1, n + 1), m))
     if kind == "arbitrary":
         entries = {S: small_rational(rng) for S in subsets}
+    elif kind == "constant":
+        # value 0 makes every link zero, so the shift is 1
+        value = rng.choice([F(0), small_rational(rng)])
+        entries = {S: value for S in subsets}
     else:
         # a tree metric restricted to 1..n, so n = 2 works too
         d = distance_matrix(random_tree(max(n, 3), seed=seed)).restrict(range(1, n + 1))
         entries = dict(dissimilarity_map(d, m).entries)
+        bump = rng.choice([-1, 1]) * F(rng.randint(1, 4), rng.randint(1, 2))
         if kind == "bumped":
-            entries[rng.choice(subsets)] += rng.choice([-1, 1]) * F(rng.randint(1, 4), rng.randint(1, 2))
+            entries[rng.choice(subsets)] += bump
+        elif kind == "late-bump":
+            # only links of R inside the m largest labels see the bump,
+            # so every earlier R is accepted by its tree build
+            entries[subsets[-1]] += bump
         elif kind == "leaf-shifted":
             r = {i: small_rational(rng) for i in range(1, n + 1)}
             entries = {S: v + sum(r[i] for i in S) for S, v in entries.items()}
     W = DissimTensor(n, m, entries)
     assert three_term_plucker_check(W) == three_term_reference(W)
+
+
+def test_tree_tensors_are_accepted_without_the_quadruple_scan(monkeypatch, tmp_path):
+    def no_scan(get, quads):
+        raise AssertionError("quadruple scan ran on a tree tensor")
+
+    monkeypatch.setattr("treedissim.tropical._first_unbalanced", no_scan)
+    for m in range(2, 6):
+        for n in range(m + 2, m + 6):
+            for shape in ("uniform-topology", "caterpillar"):
+                W = dissimilarity_map(distance_matrix(random_tree(n, seed=n, shape=shape)), m)
+                assert three_term_plucker_check(W) == Verdict(True)
+    W = triple_dissimilarity(distance_matrix(random_tree(9, seed=2)))
+    path = tmp_path / "w9.json"
+    path.write_text(json.dumps(W.to_json_obj()))
+    assert main(["check", str(path), "--tmn", "3"]) == 0
