@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -96,6 +95,9 @@ def _pmap(fn, items, jobs: int) -> list:
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
+    # imported here, not at the top: only fan-out needs it, and it slows every start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

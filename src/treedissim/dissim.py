@@ -337,28 +337,31 @@ def triple_dissimilarity(D: DistanceMatrix) -> DissimTensor:
     return DissimTensor(n, 3, entries)
 
 
-def _invert3_formula(W: DissimTensor) -> DistanceMatrix:
+def _invert3_formula(W: DissimTensor) -> tuple[dict, dict, int]:
     # With S_i the row sums of the unknown matrix X, summing the closed
     # form over the free index gives T(i,j) = ((n-4)X(i,j) + S_i + S_j)/2,
     # row-summing gives U_i = (n-3)S_i + total(X), and the grand total
-    # gives total(X) = 2*total(W)/(n-2); solving back yields X.
+    # gives total(X) = 2*total(W)/(n-2); solving back yields X.  Everything
+    # is multiplied through by L(n-2)(n-3)(n-4), L the common denominator
+    # of W, so it runs on ints.  Returns x = L(n-2)(n-3)(n-4)*X, w = L*W
+    # and that denominator.
     n = W.n
-    labels = range(1, n + 1)
-    T = {
-        (i, j): sum(
-            (W.entries[tuple(sorted((i, j, k)))] for k in labels if k != i and k != j),
-            Fraction(0),
-        )
-        for i, j in combinations(labels, 2)
-    }
-    total = sum(W.entries.values(), Fraction(0))
-    P = 2 * total / (n - 2)
-    U = {i: sum((v for key, v in T.items() if i in key), Fraction(0)) for i in labels}
-    S = {i: (U[i] - P) / (n - 3) for i in labels}
-    entries = {
-        (i, j): (2 * T[(i, j)] - S[i] - S[j]) / (n - 4) for i, j in combinations(labels, 2)
-    }
-    return DistanceMatrix(n, entries)
+    L = lcm(*(v.denominator for v in W.entries.values()))
+    w = {key: v.numerator * (L // v.denominator) for key, v in W.entries.items()}
+    T = dict.fromkeys(combinations(range(1, n + 1), 2), 0)
+    for (i, j, k), v in w.items():
+        T[i, j] += v
+        T[i, k] += v
+        T[j, k] += v
+    U = [0] * (n + 1)
+    for (i, j), t in T.items():
+        U[i] += t
+        U[j] += t
+    total = sum(w.values())
+    s = [(n - 2) * u - 2 * total for u in U]
+    c = 2 * (n - 2) * (n - 3)
+    x = {(i, j): c * t - s[i] - s[j] for (i, j), t in T.items()}
+    return x, w, L * (n - 2) * (n - 3) * (n - 4)
 
 
 def _invert3_elimination(W: DissimTensor) -> DistanceMatrix:
@@ -407,25 +410,29 @@ def invert_triple_dissimilarity(W: DissimTensor) -> DistanceMatrix:
 
     Needs n >= 5; for n <= 4 the linear system has a nontrivial kernel
     and no unique preimage exists.  The closed form is computed and
-    then verified by mapping forward again; a mismatch raises
-    :class:`InversionError` with the first failing triple.  (The tests
-    check the closed form against an exact Gauss-Jordan solver.)
+    then verified by mapping forward again, both on integers over one
+    common denominator; a mismatch raises :class:`InversionError` with
+    the first failing triple.  (The tests check the closed form against
+    an exact Gauss-Jordan solver.)
     """
     if W.m != 3:
         raise ValueError("inversion needs an m=3 tensor")
     n = W.n
     if n <= 4:
         raise ValueError(f"inversion needs n >= 5; the n={n} system is underdetermined")
-    X = _invert3_formula(W)
-    back = triple_dissimilarity(X)
-    for key in combinations(range(1, n + 1), 3):
-        if back.entries[key] != W.entries[key]:
+    x, w, denom = _invert3_formula(W)
+    # X(i,j) + X(i,k) + X(j,k) = 2W(i,j,k), multiplied through by denom
+    scale = 2 * (n - 2) * (n - 3) * (n - 4)
+    for (i, j, k), v in w.items():
+        lhs = x[i, j] + x[i, k] + x[j, k]
+        if lhs != scale * v:
+            key = (i, j, k)
             raise InversionError(
                 f"tensor is not a triple dissimilarity: mismatch at {key}",
                 witness=key,
-                values=(back.entries[key], W.entries[key]),
+                values=(Fraction(lhs, 2 * denom), W.entries[key]),
             )
-    return X
+    return DistanceMatrix(n, {p: Fraction(v, denom) for p, v in x.items()})
 
 
 @dataclass(frozen=True)

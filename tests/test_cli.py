@@ -2,7 +2,11 @@
 and parallel equivalence.  All invocations run in-process via main()."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +329,14 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only fan-out needs concurrent.futures; every start-up imports cli
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import treedissim.cli, sys; assert 'concurrent.futures' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_jobs_below_one_is_usage_error(self, metric6_file, capsys):
         assert main(["check", metric6_file, "--metric", "--jobs", "0"]) == 2

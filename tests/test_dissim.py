@@ -164,13 +164,50 @@ class TestSubsetCherries:
             subset_cherries(quartet_dm, (1, 2))
 
 
+# Primes near 10**6 and 10**12, so the common denominator of a tensor is a
+# product of several large primes.
+LARGE_PRIMES = (999983, 1000003, 1000033, 10**12 + 39)
+
+
+def coprime_weight(rng):
+    return F(rng.randint(1, 10**6), rng.choice(LARGE_PRIMES))
+
+
+def invert3_reference(W):
+    """The closed form and its forward check on Fractions, as first
+    written: X, or the first triple where X maps forward to another
+    value, with (that value, W's entry)."""
+    n = W.n
+    labels = range(1, n + 1)
+    T = {
+        (i, j): sum((W.value((i, j, k)) for k in labels if k != i and k != j), F(0))
+        for i, j in combinations(labels, 2)
+    }
+    P = 2 * sum(W.entries.values(), F(0)) / (n - 2)
+    U = {i: sum((v for key, v in T.items() if i in key), F(0)) for i in labels}
+    S = {i: (U[i] - P) / (n - 3) for i in labels}
+    X = DistanceMatrix(n, {(i, j): (2 * T[i, j] - S[i] - S[j]) / (n - 4) for i, j in combinations(labels, 2)})
+    for key, v in triple_dissimilarity(X).entries.items():
+        if v != W.entries[key]:
+            return key, (v, W.entries[key])
+    return X
+
+
+def inversion_outcome(W):
+    try:
+        return invert_triple_dissimilarity(W)
+    except InversionError as exc:
+        return exc.witness, exc.values
+
+
 class TestInversion:
     def test_roundtrip_on_trees_both_methods(self):
         for n, seed in [(5, 0), (6, 1), (7, 2), (8, 3)]:
-            d = distance_matrix(random_tree(n, seed=seed))
-            w = triple_dissimilarity(d)
-            assert invert_triple_dissimilarity(w) == d
-            assert _invert3_elimination(w) == d
+            for sampler in (None, coprime_weight):
+                d = distance_matrix(random_tree(n, seed=seed, weight_sampler=sampler))
+                w = triple_dissimilarity(d)
+                assert invert_triple_dissimilarity(w) == d
+                assert _invert3_elimination(w) == d
 
     def test_roundtrip_on_arbitrary_symmetric_matrices(self):
         # inversion is linear algebra; it must not assume a metric
@@ -185,6 +222,11 @@ class TestInversion:
             by_elimination = _invert3_elimination(w)
             assert by_formula == d
             assert by_elimination == d
+        for n in range(5, 9):
+            zero = DistanceMatrix(n, {p: F(0) for p in combinations(range(1, n + 1), 2)})
+            w = triple_dissimilarity(zero)
+            assert invert_triple_dissimilarity(w) == zero
+            assert _invert3_elimination(w) == zero
 
     def test_small_n_rejected(self, quartet_dm):
         w = triple_dissimilarity(quartet_dm)
@@ -207,6 +249,21 @@ class TestInversion:
         assert len(exc.value.witness) == 3
         # the oracle returns its pivot solution; mapping it forward misses
         assert triple_dissimilarity(_invert3_elimination(bad)) != bad
+        # witness and values of a rejection, and X of an acceptance (n=5
+        # is square), are those of the closed form on Fractions; the bump
+        # sits on the first or the lexicographically last triple, the
+        # denominators are small or products of large primes
+        for n, seed in [(5, 1), (6, 3), (7, 4), (9, 5)]:
+            for sampler in (None, coprime_weight):
+                d = distance_matrix(random_tree(n, seed=seed, weight_sampler=sampler))
+                w = triple_dissimilarity(d)
+                for key, bump in [((1, 2, 3), F(1)), ((n - 2, n - 1, n), F(-1, 999983))]:
+                    entries = dict(w.entries)
+                    entries[key] += bump
+                    bad = DissimTensor(n, 3, entries)
+                    want = invert3_reference(bad)
+                    assert inversion_outcome(bad) == want
+                    assert isinstance(want, DistanceMatrix) == (n == 5)
 
     def test_bump_preimage_at_n5_is_explicit(self, ones5):
         # n=5 the system is square: the bump direction pulls back to the

@@ -23,6 +23,7 @@ from treedissim import (
     triple_dissimilarity,
 )
 from treedissim.cli import main
+from treedissim.tropical import _BUILD_MIN_LABELS
 
 F = Fraction
 
@@ -149,8 +150,10 @@ class TestThreeTermRelations:
     def test_link_that_is_no_metric_passes(self):
         # a star with pendant -3/2 at leaf 1 and 1/2 elsewhere: every
         # quadruple balances, but L(1,2) + L(1,3) + 2*max|L| < L(2,3), so
-        # the tree build needs a shift above 3*max|L|
-        w = DissimTensor(5, 2, {S: F(-1) if 1 in S else F(1) for S in combinations(range(1, 6), 2)})
+        # the tree build needs a shift above 3*max|L|; the star has
+        # _BUILD_MIN_LABELS leaves, so its link is built
+        n = _BUILD_MIN_LABELS
+        w = DissimTensor(n, 2, {S: F(-1) if 1 in S else F(1) for S in combinations(range(1, n + 1), 2)})
         assert three_term_plucker_check(w) == Verdict(True)
 
     def test_matrix_tensor_reduces_to_four_point(self, bumped5):
@@ -253,17 +256,64 @@ def test_three_term_matches_reference_scan(m, extra, kind, seed):
     assert three_term_plucker_check(W) == three_term_reference(W)
 
 
+def test_three_term_builds_agree_with_reference_scan():
+    # links of _BUILD_MIN_LABELS labels or more are accepted by their
+    # tree build, which the hypothesis differential above never reaches
+    for m in (2, 3, 4):
+        n = m - 2 + _BUILD_MIN_LABELS
+        subsets = list(combinations(range(1, n + 1), m))
+        for kind in ("tree", "bumped", "late-bump", "leaf-shifted", "arbitrary"):
+            rng = random.Random(f"{m}/{kind}")
+            if kind == "arbitrary":
+                entries = {S: small_rational(rng) for S in subsets}
+            else:
+                entries = dict(dissimilarity_map(distance_matrix(random_tree(n, seed=m)), m).entries)
+            if kind == "bumped":
+                entries[rng.choice(subsets)] += F(1, 2)
+            elif kind == "late-bump":
+                entries[subsets[-1]] -= 1
+            elif kind == "leaf-shifted":
+                r = {i: small_rational(rng) for i in range(1, n + 1)}
+                entries = {S: v + sum(r[i] for i in S) for S, v in entries.items()}
+            W = DissimTensor(n, m, entries)
+            assert three_term_plucker_check(W) == three_term_reference(W), (m, kind)
+
+
 def test_tree_tensors_are_accepted_without_the_quadruple_scan(monkeypatch, tmp_path):
     def no_scan(get, quads):
         raise AssertionError("quadruple scan ran on a tree tensor")
 
     monkeypatch.setattr("treedissim.tropical._first_unbalanced", no_scan)
-    for m in range(2, 6):
-        for n in range(m + 2, m + 6):
+    for m in range(2, 5):
+        # links have n - m + 2 labels, at least _BUILD_MIN_LABELS here
+        for n in (m - 2 + _BUILD_MIN_LABELS, m - 1 + _BUILD_MIN_LABELS):
             for shape in ("uniform-topology", "caterpillar"):
                 W = dissimilarity_map(distance_matrix(random_tree(n, seed=n, shape=shape)), m)
                 assert three_term_plucker_check(W) == Verdict(True)
-    W = triple_dissimilarity(distance_matrix(random_tree(9, seed=2)))
-    path = tmp_path / "w9.json"
+    n = 1 + _BUILD_MIN_LABELS
+    W = triple_dissimilarity(distance_matrix(random_tree(n, seed=2)))
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(W.to_json_obj()))
+    assert main(["check", str(path), "--tmn", "3"]) == 0
+
+
+def test_small_links_are_scanned_without_a_tree_build(monkeypatch, tmp_path):
+    def no_build(D):
+        raise AssertionError("tree build ran on a link below the crossover")
+
+    monkeypatch.setattr("treedissim.trees._realized", no_build)
+    for m in range(2, 6):
+        # links of 4, 6 and 8 labels; the CLI tensor below has 9
+        for n in range(m + 2, m - 2 + _BUILD_MIN_LABELS, 2):
+            for shape in ("uniform-topology", "caterpillar"):
+                W = dissimilarity_map(distance_matrix(random_tree(n, seed=n, shape=shape)), m)
+                assert three_term_plucker_check(W) == Verdict(True)
+                entries = dict(W.entries)
+                entries[max(entries)] += 1
+                bumped = DissimTensor(n, m, entries)
+                assert three_term_plucker_check(bumped) == three_term_reference(bumped)
+    n = _BUILD_MIN_LABELS
+    W = triple_dissimilarity(distance_matrix(random_tree(n, seed=2)))
+    path = tmp_path / "w.json"
     path.write_text(json.dumps(W.to_json_obj()))
     assert main(["check", str(path), "--tmn", "3"]) == 0
