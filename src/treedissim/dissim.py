@@ -20,7 +20,14 @@ from itertools import combinations, permutations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .rationals import checked_table, format_index_key, format_rational, parse_index_entries, parse_rational
+from .rationals import (
+    _read_subset_table,
+    checked_table,
+    format_index_key,
+    format_rational,
+    parse_index_entries,
+    parse_rational,
+)
 from .tropical import Verdict, _pairing_sums, four_point_check, max_twice, three_term_plucker_check
 from .trees import DistanceMatrix, FourPointViolation, WeightedTree, _is_cherry, reconstruct_tree
 
@@ -80,7 +87,9 @@ class DissimTensor:
         if not (isinstance(n, int) and isinstance(m, int)):
             raise ValueError("'n' and 'm' must be integers")
         # __post_init__ checks that the keys are exactly the m-subsets.
-        entries = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj["entries"])}
+        entries = _read_subset_table(obj["entries"], n, m)
+        if entries is None:
+            entries = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj["entries"])}
         return cls(n, m, entries)
 
 

@@ -22,7 +22,6 @@ form is checked with one generic ``det3`` expansion per triple.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -287,6 +286,9 @@ def build_certificate(
     leaves_below: dict[int, tuple[int, ...]] = {}
     for v in reversed(below):
         leaves_below[v] = tuple(sorted(leaf for k in kids[v] for leaf in leaves_below[k])) or (v,)
+    # hashlib loads OpenSSL, which only certificates need
+    import hashlib
+
     newick = serialize_newick(tree)
     return ValuationCertificate(
         n=n,

@@ -11,8 +11,10 @@ JSON text is read by :func:`_load_json`.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, Callable, Iterable
 
 
@@ -137,7 +139,52 @@ def checked_table(
         count = _binomial_product(binomials, 10**limit - 1)
         need = f"at least 10**{limit}" if count is None else count
         raise ValueError(f"need {need} entries for the {what}, got {got}")
-    keys, want = set(entries), set(expected())
-    if keys != want:
-        raise ValueError(f"entries must cover exactly the {what}; mismatch near {sorted(keys ^ want)[:3]}")
-    return {k: Fraction(v) for k, v in sorted(entries.items())}
+    # expected() yields the keys sorted, so with the count right a full
+    # lookup proves the key sets equal and gives the order
+    try:
+        table = {key: entries[key] for key in expected()}
+    except KeyError:
+        keys, want = set(entries), set(expected())
+        raise ValueError(f"entries must cover exactly the {what}; mismatch near {sorted(keys ^ want)[:3]}") from None
+    for key, value in table.items():
+        if type(value) is not Fraction:
+            table[key] = Fraction(value)
+    return table
+
+
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _read_subset_table(obj, n: int, m: int) -> dict | None:
+    """The Fractions of a JSON object keyed by exactly the
+    :func:`format_index_key` strings of the m-subsets of 1..n, in
+    ``combinations`` order, when 2 <= m < n and every value is a plain
+    ``"p"`` or ``"p/q"``; None otherwise.
+
+    A value is read only in ASCII digits, no longer than the digit limit
+    and with a nonzero denominator, where it equals what
+    :func:`parse_rational` gives.  On None the caller runs the full
+    reader, which gives the same values or names the fault.  As in
+    :func:`checked_table` the count is checked before any key is made;
+    with m < n it bounds n by the number of entries, and so the n label
+    strings made here.
+    """
+    if not (isinstance(obj, dict) and 2 <= m < n) or _binomial_product([(n, m)], len(obj)) != len(obj):
+        return None
+    limit = _digit_limit()
+    plain = _PLAIN_RATIONAL.fullmatch
+    labels = range(1, n + 1)
+    # ",".join of the label strings is format_index_key of the tuple
+    texts = map(",".join, combinations(list(map(str, labels)), m))
+    table = {}
+    for key, text in zip(combinations(labels, m), map(obj.get, texts)):
+        if type(text) is not str or len(text) > limit or (match := plain(text)) is None:
+            return None
+        p, q = match.groups()
+        if q is None:
+            table[key] = Fraction(int(p))
+        elif int(q):
+            table[key] = Fraction(int(p), int(q))
+        else:
+            return None
+    return table

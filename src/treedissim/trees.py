@@ -22,7 +22,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .rationals import checked_table, format_index_key, format_rational, parse_index_entries, parse_rational
+from .rationals import (
+    _read_subset_table,
+    checked_table,
+    format_index_key,
+    format_rational,
+    parse_index_entries,
+    parse_rational,
+)
 from .tropical import Verdict, four_point_check, is_ultrametric
 
 
@@ -189,7 +196,9 @@ class DistanceMatrix:
         if not isinstance(n, int):
             raise ValueError("'n' must be an integer")
         # __post_init__ checks that the keys are exactly the pairs i<j.
-        entries = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj["entries"])}
+        entries = _read_subset_table(obj["entries"], n, 2)
+        if entries is None:
+            entries = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj["entries"])}
         return cls(n, entries)
 
 

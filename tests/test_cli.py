@@ -338,6 +338,21 @@ class TestUsage:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_leaves_openssl_out(self):
+        # hashlib loads OpenSSL and only certificates use it; the stdlib
+        # modules the library imports come first, so a build whose random
+        # loads hashlib itself does not count against the library
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import argparse, dataclasses, fractions, functools, itertools, json, math, os, random, re, sys, typing\n"
+            "before = 'hashlib' in sys.modules\n"
+            "import treedissim, treedissim.cli\n"
+            "assert before or 'hashlib' not in sys.modules"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_jobs_below_one_is_usage_error(self, metric6_file, capsys):
         assert main(["check", metric6_file, "--metric", "--jobs", "0"]) == 2
         assert "argument --jobs: must be an integer >= 1" in capsys.readouterr().err

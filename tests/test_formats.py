@@ -2,6 +2,7 @@
 tensors, pairing points and certificates."""
 
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +22,11 @@ from treedissim import (
     pairing_map,
     parse_newick,
     parse_rational,
+    random_tree,
 )
+from treedissim.cli import main
+from treedissim.dissim import _pair_pairs
+from treedissim.rationals import _binomial_product, _digit_limit, format_index_key, parse_index_entries
 
 F = Fraction
 
@@ -280,3 +285,164 @@ def test_any_json_gives_object_or_value_error(cls, make, data):
         cls.from_json_obj(obj)
     except ValueError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# The plain-value reader: same tables and messages as the full reader
+
+
+def _old_checked_table(entries, binomials, expected, what):
+    # checked_table as it was before the one-pass lookup: two key sets and a sort
+    got = len(entries)
+    if _binomial_product(binomials, got) != got:
+        limit = _digit_limit()
+        count = _binomial_product(binomials, 10**limit - 1)
+        need = f"at least 10**{limit}" if count is None else count
+        raise ValueError(f"need {need} entries for the {what}, got {got}")
+    keys, want = set(entries), set(expected())
+    if keys != want:
+        raise ValueError(f"entries must cover exactly the {what}; mismatch near {sorted(keys ^ want)[:3]}")
+    return {k: Fraction(v) for k, v in sorted(entries.items())}
+
+
+def _old_entries(kind, n, m, raw):
+    """The entries the reader before the plain-value path gave, given ints n and m."""
+    if kind == "pairing":
+        entries = {key: parse_rational(val) for key, val in parse_index_entries(raw, groups=2)}
+        if n < 4:
+            raise ValueError("pairing coordinates need n >= 4")
+        return _old_checked_table(
+            entries, [(n, 2), (n - 2, 2)], lambda: _pair_pairs(n), f"ordered disjoint pair-pairs of 1..{n}"
+        )
+    entries = {idx: parse_rational(val) for (idx,), val in parse_index_entries(raw)}
+    if kind == "matrix":
+        if n < 2:
+            raise ValueError("a distance matrix needs n >= 2")
+        what = f"pairs i<j from 1..{n}"
+    else:
+        if not 2 <= m <= n:
+            raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
+        what = f"{m}-subsets of 1..{n}"
+    return _old_checked_table(entries, [(n, m)], lambda: combinations(range(1, n + 1), m), what)
+
+
+def _outcome(read):
+    try:
+        return [(key, type(v), v) for key, v in read().items()]
+    except ValueError as exc:
+        return str(exc)
+
+
+HOSTILE_VALUES = [
+    "0.5", "-1.25", "1e3", "2E-2", "+3", " 3", "3 ", "3\n", "٣", "1/٣", "1_000", "1/0", "1/00", "0/5",
+    "-0", "007", "2/4", "1/-2", "--1", "-", "/2", "1/", "", "1e5000", "1.5/2", "1" * 4300, "1" * 4301,
+    "-" + "1" * 4300, "9/" + "7" * 4300, "9/" + "7" * 4301, "0" * 4300 + "1", "0" * 4301 + "1",
+    3, -2, True, 1.5, None, [1], {"1": 2},
+]
+
+
+@st.composite
+def _raw_tables(draw):
+    kind = draw(st.sampled_from(["matrix", "tensor", "pairing"]))
+    n = draw(st.integers(-1, 7))
+    m = 2 if kind != "tensor" else draw(st.sampled_from([-1, 0, 1, 2, 3, 4, n, n + 1]))
+    # the keys of the nearest valid shape, so most tables get past the count
+    size, arity = max(n, 4), min(max(m, 2), max(n, 4))
+    if kind == "pairing":
+        keys = [f"{format_index_key(p)};{format_index_key(q)}" for p, q in _pair_pairs(size)]
+    else:
+        keys = [format_index_key(s) for s in combinations(range(1, size + 1), arity if kind == "tensor" else 2)]
+    plain = st.builds(lambda p, q: f"{p}/{q}" if q != 1 else str(p), st.integers(-10**6, 10**6), st.integers(1, 99))
+    entries = {key: draw(plain) for key in keys}
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["value", "drop", "extra", "rename"]))
+        key = draw(st.sampled_from(sorted(entries))) if entries else None
+        if edit == "value" and key:
+            entries[key] = draw(st.sampled_from(HOSTILE_VALUES))
+        elif edit == "drop" and key:
+            del entries[key]
+        elif edit == "extra":
+            entries[draw(st.sampled_from(["1,1", f"1,{size + 1}", "0,1", "1,2,3,4,5,6,7,8"]))] = "1"
+        elif edit == "rename" and key:
+            new = draw(st.sampled_from(["0" + key, " " + key, key.replace(",", ", ", 1), key[::-1], key + ","]))
+            entries[new] = entries.pop(key)
+    order = draw(st.permutations(sorted(entries)))
+    return kind, n, m, {key: entries[key] for key in order}
+
+
+def _assert_read_as_before(kind, n, m, raw, limit):
+    """The new reader gives the old entries, in the old order, or the old
+    message, with the interpreter's digit limit set to ``limit``."""
+    cls = {"matrix": DistanceMatrix, "tensor": DissimTensor, "pairing": PairingPoint}[kind]
+    obj = {"n": n, "m": m, "entries": raw} if kind == "tensor" else {"n": n, "entries": raw}
+    saved = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        want = _outcome(lambda: _old_entries(kind, n, m, raw))
+        got = _outcome(lambda: cls.from_json_obj(obj).entries)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == want
+
+
+@given(table=_raw_tables(), limit=st.sampled_from([None, 0]))
+@settings(max_examples=300, deadline=None)
+def test_reader_agrees_with_the_full_reader(table, limit):
+    _assert_read_as_before(*table, limit)
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES, ids=range(len(HOSTILE_VALUES)))
+@pytest.mark.parametrize("limit", [None, 0])
+@pytest.mark.parametrize("kind", ["matrix", "tensor"])
+def test_each_value_form_reads_as_before(kind, limit, value):
+    n, m = 5, 2 if kind == "matrix" else 3
+    raw = {format_index_key(s): f"{i}/3" for i, s in enumerate(combinations(range(1, n + 1), m))}
+    raw[next(iter(raw))] = value
+    _assert_read_as_before(kind, n, m, raw, limit)
+
+
+def test_plain_tables_are_read_without_the_full_reader(monkeypatch, tmp_path):
+    def no_full_reader(*args, **kwargs):
+        raise AssertionError("the full reader ran on a plain table")
+
+    for module in ("trees", "dissim"):
+        monkeypatch.setattr(f"treedissim.{module}.parse_rational", no_full_reader)
+        monkeypatch.setattr(f"treedissim.{module}.parse_index_entries", no_full_reader)
+    for n in (3, 5, 11):
+        D = distance_matrix(random_tree(n, seed=n))
+        assert DistanceMatrix.from_json_obj(json.loads(json.dumps(D.to_json_obj()))) == D
+        for m in range(2, min(n - 1, 5) + 1):
+            W = dissimilarity_map(D, m)
+            assert DissimTensor.from_json_obj(json.loads(json.dumps(W.to_json_obj()))) == W
+    D = distance_matrix(random_tree(10, seed=4))
+    matrix = tmp_path / "d.json"
+    matrix.write_text(json.dumps(D.to_json_obj()))
+    tensor = tmp_path / "w.json"
+    tensor.write_text(json.dumps(dissimilarity_map(D, 3).to_json_obj()))
+    assert main(["membership3", str(tensor)]) == 0
+    assert main(["reconstruct", str(matrix)]) == 0
+    assert main(["check", str(matrix), "--metric"]) == 0
+    assert main(["check", str(tensor), "--tmn", "3"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["matrix", "tensor", "pairing"])
+def test_entries_are_sorted_by_key(kind):
+    D = distance_matrix(random_tree(6, seed=2))
+    table = {"matrix": D, "tensor": dissimilarity_map(D, 3), "pairing": pairing_map(D)}[kind]
+    shuffled = dict(reversed(list(table.entries.items())))
+    obj = table.to_json_obj()
+    obj["entries"] = dict(reversed(list(obj["entries"].items())))
+    fields = {"n": table.n, "entries": shuffled}
+    if kind == "tensor":
+        fields["m"] = table.m
+    for t in (type(table)(**fields), type(table).from_json_obj(obj)):
+        assert list(t.entries) == sorted(t.entries)
+        assert t == table
+
+
+def test_table_values_become_fractions():
+    d = DistanceMatrix(3, {(2, 3): 2, (1, 3): F(5), (1, 2): "1/2"})
+    assert [(k, type(v), v) for k, v in d.entries.items()] == [
+        ((1, 2), F, F(1, 2)), ((1, 3), F, F(5)), ((2, 3), F, F(2))
+    ]

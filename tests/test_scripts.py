@@ -1,7 +1,10 @@
 """Smoke test: the example scripts run to completion and report the
-results they exist to show (they exit 0 whatever they print)."""
+results they exist to show (they exit 0 whatever they print), and the
+per-layer timing script writes a figure for every layer."""
 
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +49,24 @@ def test_script_runs(script, args, lines):
     out = proc.stdout.splitlines()
     for line in lines:
         assert line in out
+
+
+def test_bench_layers_writes_every_layer(tmp_path):
+    out = tmp_path / "layers.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), "--sizes", "5", "6", "--repeats", "1",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["python"] == platform.python_version()
+    assert result["commit"]
+    assert len(result["layers"]) == 11
+    for sizes in result["layers"].values():
+        assert sorted(sizes) == ["5", "6"]
+        for cell in sizes.values():
+            assert cell["raw_ms"] >= 0 and cell["slowdown"] > 0
+            assert cell["scaled_ms"] == pytest.approx(cell["raw_ms"] / cell["slowdown"], rel=0.01, abs=1e-3)
