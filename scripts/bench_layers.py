@@ -6,14 +6,13 @@ of the ROADMAP baseline table: Newick parse, ``distance_matrix``,
 reading an m=3 tensor from JSON, ``invert3``, both four-point modes,
 ``reconstruct_tree``, the three-term check, ``membership3`` on a
 member, and certificate build and verify.  Each time is the best of
-``--repeats`` runs in process CPU time; a layer whose first run takes
-over a second runs once.  Every time is also divided by the host
+three runs in process CPU time.  Every time is also divided by the host
 slowdown, measured as in ``bench/run.py``: its ``reference()`` kernel is
 timed (best of three) before and after each layer, and the mean over
 ``REFERENCE_S`` is the slowdown.
 
 Usage:
-    python scripts/bench_layers.py [--sizes 15 25 40] [--repeats 3] [--out BENCH_layers.json]
+    python scripts/bench_layers.py [--sizes 15 25 40] [--out BENCH_layers.json]
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import treedissim as td  # noqa: E402
 from run import REFERENCE_S, reference  # noqa: E402
 
-# a layer whose first run takes longer than this is not repeated
-ONE_RUN_S = 1.0
+# each layer's time is the best of this many runs
+REPEATS = 3
 
 
 def layers(n: int) -> dict:
@@ -64,15 +63,12 @@ def slowdown() -> float:
     return min(reference() for _ in range(3)) / REFERENCE_S
 
 
-def best_cpu_s(call, repeats: int) -> float:
+def best_cpu_s(call) -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = process_time()
         call()
-        elapsed = process_time() - start
-        best = min(best, elapsed)
-        if elapsed > ONE_RUN_S:
-            break
+        best = min(best, process_time() - start)
     return best
 
 
@@ -86,14 +82,13 @@ def commit() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[15, 25, 40])
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
     args = parser.parse_args(argv)
     results: dict = {}
     for n in args.sizes:
         for name, call in layers(n).items():
             before = slowdown()
-            raw = best_cpu_s(call, args.repeats)
+            raw = best_cpu_s(call)
             slow = (before + slowdown()) / 2
             results.setdefault(name, {})[str(n)] = {
                 "raw_ms": round(raw * 1e3, 4),
@@ -106,7 +101,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "tree": "random_tree(n, seed=1), uniform-topology",
-        "clock": f"process CPU time, best of {args.repeats} (one run past {ONE_RUN_S} s)",
+        "clock": f"process CPU time, best of {REPEATS}",
         "reference_s": REFERENCE_S,
         "sizes": args.sizes,
         "layers": results,

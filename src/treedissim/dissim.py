@@ -88,8 +88,6 @@ class DissimTensor:
             raise ValueError("'n' and 'm' must be integers")
         # __post_init__ checks that the keys are exactly the m-subsets.
         entries = _read_subset_table(obj["entries"], n, m)
-        if entries is None:
-            entries = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj["entries"])}
         return cls(n, m, entries)
 
 

@@ -109,6 +109,9 @@ def parse_index_entries(entries, groups: int = 1) -> list[tuple[tuple[tuple[int,
     return out
 
 
+_MISSING = object()
+
+
 def _binomial_product(binomials: list[tuple[int, int]], cap: int) -> int | None:
     """Product of C(a, b) over the pairs (a, b), b <= a, or None once it exceeds ``cap``.
 
@@ -140,12 +143,16 @@ def checked_table(
         need = f"at least 10**{limit}" if count is None else count
         raise ValueError(f"need {need} entries for the {what}, got {got}")
     # expected() yields the keys sorted, so with the count right a full
-    # lookup proves the key sets equal and gives the order
-    try:
-        table = {key: entries[key] for key in expected()}
-    except KeyError:
-        keys, want = set(entries), set(expected())
-        raise ValueError(f"entries must cover exactly the {what}; mismatch near {sorted(keys ^ want)[:3]}") from None
+    # lookup proves the key sets equal and gives the order; get() does
+    # not call a dict subclass's __missing__, so a missing key stays one
+    get = entries.get
+    table = {}
+    for key in expected():
+        value = get(key, _MISSING)
+        if value is _MISSING:
+            keys, want = set(entries), set(expected())
+            raise ValueError(f"entries must cover exactly the {what}; mismatch near {sorted(keys ^ want)[:3]}")
+        table[key] = value
     for key, value in table.items():
         if type(value) is not Fraction:
             table[key] = Fraction(value)
@@ -155,7 +162,24 @@ def checked_table(
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _read_subset_table(obj, n: int, m: int) -> dict | None:
+def _read_subset_table(obj, n: int, m: int) -> dict:
+    """The Fractions of a JSON object keyed by the
+    :func:`format_index_key` strings of m-subsets, as the matrix and
+    tensor ``from_json_obj`` read them.
+
+    A plain table (see :func:`_read_plain_table`) is read directly;
+    anything else goes through :func:`parse_index_entries` and
+    :func:`parse_rational`, which give the same values or name the fault.
+    The caller's constructor checks that the keys are exactly the
+    m-subsets of 1..n.
+    """
+    table = _read_plain_table(obj, n, m)
+    if table is None:
+        table = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj)}
+    return table
+
+
+def _read_plain_table(obj, n: int, m: int) -> dict | None:
     """The Fractions of a JSON object keyed by exactly the
     :func:`format_index_key` strings of the m-subsets of 1..n, in
     ``combinations`` order, when 2 <= m < n and every value is a plain
@@ -163,11 +187,9 @@ def _read_subset_table(obj, n: int, m: int) -> dict | None:
 
     A value is read only in ASCII digits, no longer than the digit limit
     and with a nonzero denominator, where it equals what
-    :func:`parse_rational` gives.  On None the caller runs the full
-    reader, which gives the same values or names the fault.  As in
-    :func:`checked_table` the count is checked before any key is made;
-    with m < n it bounds n by the number of entries, and so the n label
-    strings made here.
+    :func:`parse_rational` gives.  As in :func:`checked_table` the count
+    is checked before any key is made; with m < n it bounds n by the
+    number of entries, and so the n label strings made here.
     """
     if not (isinstance(obj, dict) and 2 <= m < n) or _binomial_product([(n, m)], len(obj)) != len(obj):
         return None

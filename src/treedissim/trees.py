@@ -27,7 +27,6 @@ from .rationals import (
     checked_table,
     format_index_key,
     format_rational,
-    parse_index_entries,
     parse_rational,
 )
 from .tropical import Verdict, four_point_check, is_ultrametric
@@ -197,8 +196,6 @@ class DistanceMatrix:
             raise ValueError("'n' must be an integer")
         # __post_init__ checks that the keys are exactly the pairs i<j.
         entries = _read_subset_table(obj["entries"], n, 2)
-        if entries is None:
-            entries = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj["entries"])}
         return cls(n, entries)
 
 

@@ -3,6 +3,7 @@ tensors, pairing points and certificates."""
 
 import json
 import sys
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -406,9 +407,8 @@ def test_plain_tables_are_read_without_the_full_reader(monkeypatch, tmp_path):
     def no_full_reader(*args, **kwargs):
         raise AssertionError("the full reader ran on a plain table")
 
-    for module in ("trees", "dissim"):
-        monkeypatch.setattr(f"treedissim.{module}.parse_rational", no_full_reader)
-        monkeypatch.setattr(f"treedissim.{module}.parse_index_entries", no_full_reader)
+    monkeypatch.setattr("treedissim.rationals.parse_rational", no_full_reader)
+    monkeypatch.setattr("treedissim.rationals.parse_index_entries", no_full_reader)
     for n in (3, 5, 11):
         D = distance_matrix(random_tree(n, seed=n))
         assert DistanceMatrix.from_json_obj(json.loads(json.dumps(D.to_json_obj()))) == D
@@ -439,6 +439,15 @@ def test_entries_are_sorted_by_key(kind):
     for t in (type(table)(**fields), type(table).from_json_obj(obj)):
         assert list(t.entries) == sorted(t.entries)
         assert t == table
+
+
+@pytest.mark.parametrize("factory", [lambda: defaultdict(Fraction), Counter], ids=["defaultdict", "Counter"])
+def test_missing_key_is_not_filled_by_a_dict_subclass(factory):
+    entries = factory()
+    entries.update({(1, 2): 1, (1, 3): 1, (1, 4): 1})
+    with pytest.raises(ValueError, match=r"mismatch near \[\(1, 4\), \(2, 3\)\]"):
+        DistanceMatrix(3, entries)
+    assert dict(entries) == {(1, 2): 1, (1, 3): 1, (1, 4): 1}
 
 
 def test_table_values_become_fractions():

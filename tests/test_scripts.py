@@ -54,8 +54,7 @@ def test_script_runs(script, args, lines):
 def test_bench_layers_writes_every_layer(tmp_path):
     out = tmp_path / "layers.json"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), "--sizes", "5", "6", "--repeats", "1",
-         "--out", str(out)],
+        [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), "--sizes", "5", "6", "--out", str(out)],
         capture_output=True,
         text=True,
         timeout=120,
