@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time each library layer on one random tree per size and write BENCH_layers.json.
+"""Time each library layer on two random trees per size and write BENCH_layers.json.
 
-For ``random_tree(n, seed=1)`` at each size the script times the layers
-of the ROADMAP baseline table: Newick parse, ``distance_matrix``,
-reading an m=3 tensor from JSON, ``invert3``, both four-point modes,
-``reconstruct_tree``, the three-term check, ``membership3`` on a
-member, and certificate build and verify.  Each time is the best of
-three runs in process CPU time.  Every time is also divided by the host
+For ``random_tree(n, seed=1)`` in both shapes at each size the script
+times the layers of the ROADMAP baseline table: Newick parse,
+``distance_matrix``, reading an m=3 tensor from JSON, ``invert3``, both
+four-point modes, ``reconstruct_tree``, the three-term check,
+``membership3`` on a member, and certificate build and verify.  A
+uniform-topology row is named after its layer alone; a caterpillar row,
+the deepest tree shape, adds `` [caterpillar]``.  Each time is the best
+of three runs in process CPU time.  Every time is also divided by the host
 slowdown, measured as in ``bench/run.py``: its ``reference()`` kernel is
 timed (best of three) before and after each layer, and the mean over
 ``REFERENCE_S`` is the slowdown.
@@ -34,11 +36,13 @@ from run import REFERENCE_S, reference  # noqa: E402
 
 # each layer's time is the best of this many runs
 REPEATS = 3
+# row-name suffix per tree shape; the uniform rows keep the bare layer names
+SHAPES = {"uniform-topology": "", "caterpillar": " [caterpillar]"}
 
 
-def layers(n: int) -> dict:
-    """Name -> zero-argument call, for the tree ``random_tree(n, seed=1)``."""
-    tree = td.random_tree(n, seed=1)
+def layers(n: int, shape: str) -> dict:
+    """Name -> zero-argument call, for the tree ``random_tree(n, seed=1, shape=shape)``."""
+    tree = td.random_tree(n, seed=1, shape=shape)
     newick = td.serialize_newick(tree)
     D = td.distance_matrix(tree)
     W = td.triple_dissimilarity(D)
@@ -86,21 +90,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     results: dict = {}
     for n in args.sizes:
-        for name, call in layers(n).items():
-            before = slowdown()
-            raw = best_cpu_s(call)
-            slow = (before + slowdown()) / 2
-            results.setdefault(name, {})[str(n)] = {
-                "raw_ms": round(raw * 1e3, 4),
-                "scaled_ms": round(raw / slow * 1e3, 4),
-                "slowdown": round(slow, 3),
-            }
-            print(f"n={n:<3} {name:<46} {raw * 1e3:10.3f} ms raw {raw / slow * 1e3:10.3f} ms scaled", flush=True)
+        for shape, suffix in SHAPES.items():
+            for name, call in layers(n, shape).items():
+                name += suffix
+                before = slowdown()
+                raw = best_cpu_s(call)
+                slow = (before + slowdown()) / 2
+                results.setdefault(name, {})[str(n)] = {
+                    "raw_ms": round(raw * 1e3, 4),
+                    "scaled_ms": round(raw / slow * 1e3, 4),
+                    "slowdown": round(slow, 3),
+                }
+                print(f"n={n:<3} {name:<60} {raw * 1e3:10.3f} ms raw {raw / slow * 1e3:10.3f} ms scaled", flush=True)
     out = {
         "commit": commit(),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "tree": "random_tree(n, seed=1), uniform-topology",
+        "tree": "random_tree(n, seed=1), uniform-topology; [caterpillar] rows shape='caterpillar'",
         "clock": f"process CPU time, best of {REPEATS}",
         "reference_s": REFERENCE_S,
         "sizes": args.sizes,

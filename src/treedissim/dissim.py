@@ -14,6 +14,7 @@ projection characterization.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -57,11 +58,15 @@ class DissimTensor:
     def __post_init__(self) -> None:
         if not 2 <= self.m <= self.n:
             raise ValueError(f"need 2 <= m <= n, got m={self.m}, n={self.n}")
+        what = f"{self.m}-subsets of 1..{self.n}"
+        if self.m == self.n and len(self.entries) == 1:
+            # C(n, n) = 1 does not bound n by the input, so the one key's
+            # length is checked before the n-label key is made
+            (key,) = self.entries
+            if not (isinstance(key, tuple) and len(key) == self.n):
+                raise ValueError(f"entries must cover exactly the {what}; got the key {reprlib.repr(key)}")
         self.entries = checked_table(
-            self.entries,
-            [(self.n, self.m)],
-            lambda: combinations(range(1, self.n + 1), self.m),
-            f"{self.m}-subsets of 1..{self.n}",
+            self.entries, [(self.n, self.m)], lambda: combinations(range(1, self.n + 1), self.m), what
         )
 
     def value(self, subset: Iterable[int]) -> Fraction:

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .rationals import _load_json, format_index_key, format_rational, parse_index_entries, parse_rational
 from .tropical import Verdict
-from .trees import WeightedTree, _normalized_adj, _rooted, distance_matrix, serialize_newick
+from .trees import WeightedTree, _normalized_adj, _rooted, serialize_newick
 from .dissim import DissimTensor
 
 
@@ -228,29 +228,30 @@ def build_certificate(
 ) -> ValuationCertificate:
     """Build a valuation certificate for a positively weighted tree.
 
-    Pipeline: pick E = max_i D(i,n); hang the tree from leaf n, without
-    unlabeled degree-2 or dangling nodes.  This is the equidistant tree of
-    the rerooted metric D'(i,j) = 2E + D(i,j) - D(i,n) - D(j,n), with node
-    v at height h(v) = E - d(n,v).  Encode each leaf as the sum of labeled
-    monomials a(e) t^(2h(e)) along its path up to leaf n's neighbor, h(e)
-    the height of e's upper end (leaf n becomes t^(2E)); form the rows
+    Pipeline: hang the tree from leaf n, without unlabeled degree-2 or
+    dangling nodes, so that d(n, i) = D(i,n) for every leaf i; pick
+    E = max_i D(i,n).  This is the equidistant tree of the rerooted metric
+    D'(i,j) = 2E + D(i,j) - D(i,n) - D(j,n), with node v at height
+    h(v) = E - d(n,v).  Encode each leaf as the sum of labeled monomials
+    a(e) t^(2h(e)) along its path up to leaf n's neighbor, h(e) the
+    height of e's upper end (leaf n becomes t^(2E)); form the rows
     (1, x_i, x_i^2); scale column i by t^(2(D(i,n)-E)); substitute q -> -q/2.
 
-    Edge labels default to 1, 2, 3, ... in depth-first edge order, with
-    children ordered by smallest leaf.  Distinct labels keep sibling
-    leading coefficients from cancelling, and 2h(root) = max D' < 2E
-    because leaf n's pendant edge is positive, so the defaults always
-    satisfy the degree identity deg(x_j - x_i) = D'(i,j).  The identity
-    is checked before the matrix is assembled: supplied ``label_values``
-    are used as-is and raise :class:`CertificateError` when they break it.
+    The minors need deg(x_j - x_i) = D'(i,j) for every pair.  The terms
+    above the meet of i and j cancel, and what remains leads with
+    (a(e_j) - a(e_i)) t^(2h(meet)), e_i and e_j the meet's child edges
+    towards i and j; t^(2E) outranks every other x_i because leaf n's
+    edge is positive.  So the identity holds exactly when sibling edges
+    carry distinct labels.  Labels default to 1, 2, 3, ... in depth-first
+    edge order, children ordered by smallest leaf; supplied
+    ``label_values`` are used as-is and raise :class:`CertificateError`
+    when two sibling edges share one.
     """
     n = tree.n
     if n < 3:
         raise CertificateError("certificate needs n >= 3")
     if not tree.has_strictly_positive_weights:
         raise CertificateError("certificate needs strictly positive edge weights")
-    D = distance_matrix(tree)
-    E = max(D.get(i, n) for i in range(1, n))
     hung = WeightedTree(n, _normalized_adj(tree.adj, n))
     preorder, parent, kids = _rooted(hung, n)
     below = preorder[2:]  # the labeled edges are (parent[v], v)
@@ -258,34 +259,32 @@ def build_certificate(
     if len(labels) != len(below):
         raise CertificateError(f"need {len(below)} edge labels, got {len(labels)}")
     label_of = dict(zip(below, labels))
+    leaves_below: dict[int, tuple[int, ...]] = {}
+    for v in reversed(below):
+        leaves_below[v] = tuple(sorted(leaf for k in kids[v] for leaf in leaves_below[k])) or (v,)
     dist = {n: Fraction(0)}  # d(n, v)
     for v in preorder[1:]:
         dist[v] = dist[parent[v]] + hung.adj[parent[v]][v]
+    E = max(dist[i] for i in range(1, n))
     path = {preorder[1]: ()}  # series terms along v's path up to the root
+    first_with = {}  # (node, label) -> its first child edge with that label
     for v in below:
-        path[v] = path[parent[v]] + ((2 * (E - dist[parent[v]]), label_of[v]),)
+        u, label = parent[v], label_of[v]
+        if (sibling := first_with.setdefault((u, label), v)) != v:
+            i, j = leaves_below[sibling][0], leaves_below[v][0]
+            raise CertificateError(f"edge label {label!r} is on two sibling edges: x_{j} - x_{i} drops its leading term")
+        path[v] = path[u] + ((2 * (E - dist[u]), label),)
     x = [PuiseuxPoly.from_terms(path[leaf]) for leaf in range(1, n)] + [PuiseuxPoly.monomial(1, 2 * E)]
-
-    for i, j in combinations(range(1, n + 1), 2):
-        got = (x[j - 1] - x[i - 1]).deg()
-        want = 2 * E + D.get(i, j) - D.get(i, n) - D.get(j, n)
-        if got != want:
-            raise CertificateError(
-                f"degree check failed for pair ({i},{j}): deg {got} vs expected {want}"
-            )
 
     sub = Fraction(-1, 2)
     cols = []
     for i in range(1, n + 1):
-        scale = PuiseuxPoly.monomial(1, 2 * (D.get(i, n) - E))
+        scale = PuiseuxPoly.monomial(1, 2 * (dist[i] - E))
         xi = x[i - 1]
         pre = (scale, xi * scale, xi * xi * scale)
         cols.append(tuple(p.substitute_power(sub) for p in pre))
     matrix = tuple(tuple(cols[c][r] for c in range(n)) for r in range(3))
 
-    leaves_below: dict[int, tuple[int, ...]] = {}
-    for v in reversed(below):
-        leaves_below[v] = tuple(sorted(leaf for k in kids[v] for leaf in leaves_below[k])) or (v,)
     # hashlib loads OpenSSL, which only certificates need
     import hashlib
 

@@ -167,46 +167,35 @@ def _read_subset_table(obj, n: int, m: int) -> dict:
     :func:`format_index_key` strings of m-subsets, as the matrix and
     tensor ``from_json_obj`` read them.
 
-    A plain table (see :func:`_read_plain_table`) is read directly;
-    anything else goes through :func:`parse_index_entries` and
+    A plain table is read directly: one keyed by exactly the strings of
+    the m-subsets of 1..n, in ``combinations`` order, with 2 <= m < n and
+    every value a plain ``"p"`` or ``"p/q"`` in ASCII digits, no longer
+    than the digit limit and with a nonzero denominator, where it equals
+    what :func:`parse_rational` gives.  As in :func:`checked_table` the
+    count is checked before any key is made; with m < n it bounds n by
+    the number of entries, and so the n label strings made here.
+    Anything else goes through :func:`parse_index_entries` and
     :func:`parse_rational`, which give the same values or name the fault.
     The caller's constructor checks that the keys are exactly the
     m-subsets of 1..n.
     """
-    table = _read_plain_table(obj, n, m)
-    if table is None:
-        table = {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj)}
-    return table
-
-
-def _read_plain_table(obj, n: int, m: int) -> dict | None:
-    """The Fractions of a JSON object keyed by exactly the
-    :func:`format_index_key` strings of the m-subsets of 1..n, in
-    ``combinations`` order, when 2 <= m < n and every value is a plain
-    ``"p"`` or ``"p/q"``; None otherwise.
-
-    A value is read only in ASCII digits, no longer than the digit limit
-    and with a nonzero denominator, where it equals what
-    :func:`parse_rational` gives.  As in :func:`checked_table` the count
-    is checked before any key is made; with m < n it bounds n by the
-    number of entries, and so the n label strings made here.
-    """
-    if not (isinstance(obj, dict) and 2 <= m < n) or _binomial_product([(n, m)], len(obj)) != len(obj):
-        return None
-    limit = _digit_limit()
-    plain = _PLAIN_RATIONAL.fullmatch
-    labels = range(1, n + 1)
-    # ",".join of the label strings is format_index_key of the tuple
-    texts = map(",".join, combinations(list(map(str, labels)), m))
-    table = {}
-    for key, text in zip(combinations(labels, m), map(obj.get, texts)):
-        if type(text) is not str or len(text) > limit or (match := plain(text)) is None:
-            return None
-        p, q = match.groups()
-        if q is None:
-            table[key] = Fraction(int(p))
-        elif int(q):
-            table[key] = Fraction(int(p), int(q))
+    if isinstance(obj, dict) and 2 <= m < n and _binomial_product([(n, m)], len(obj)) == len(obj):
+        limit = _digit_limit()
+        plain = _PLAIN_RATIONAL.fullmatch
+        labels = range(1, n + 1)
+        # ",".join of the label strings is format_index_key of the tuple
+        texts = map(",".join, combinations(list(map(str, labels)), m))
+        table = {}
+        for key, text in zip(combinations(labels, m), map(obj.get, texts)):
+            if type(text) is not str or len(text) > limit or (match := plain(text)) is None:
+                break
+            p, q = match.groups()
+            if q is None:
+                table[key] = Fraction(int(p))
+            elif int(q):
+                table[key] = Fraction(int(p), int(q))
+            else:
+                break
         else:
-            return None
-    return table
+            return table
+    return {idx: parse_rational(val) for (idx,), val in parse_index_entries(obj)}

@@ -253,6 +253,26 @@ def test_claimed_size_is_never_counted_in_full(monkeypatch):
         DissimTensor.from_json_obj({"n": 10**7, "m": 5 * 10**6, "entries": {}})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DissimTensor.from_json_obj({"n": 10**6, "m": 10**6, "entries": {"1": "1"}}),
+        lambda: DissimTensor(10**6, 10**6, {(1,): Fraction(1)}),
+    ],
+    ids=["json", "tuple-keys"],
+)
+def test_claimed_m_equals_n_key_is_never_built(monkeypatch, make):
+    # C(n, n) = 1 passes the count check for any n, so the one given key
+    # is measured before the n-label key is made
+    def too_expensive(*args):
+        raise AssertionError("built the n-label key")
+
+    monkeypatch.setattr("treedissim.dissim.combinations", too_expensive)
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == "entries must cover exactly the 1000000-subsets of 1..1000000; got the key (1,)"
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),

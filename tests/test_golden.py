@@ -5,8 +5,12 @@ tree metrics, one bumped entry, leaf-shifted (r_i + r_j added), arbitrary,
 partly zeroed and all-zero, each taken as is and with one entry of every
 tensor raised by 1/3.  Each group of records (membership decisions,
 inversion errors, three-term verdicts for m=2..5 (m=2, 3 at n=10, 11), both four-point modes,
-reconstructions and JSON round trips) is hashed.  A hash says only that
-something changed, so one readable record per group names it.  A change
+reconstructions and JSON round trips) is hashed.  A second group pins
+the certificates built for seeded trees at n=3..9 in both shapes, with
+the default edge labels and with label lists drawn from {0..3}, so that
+repeated and zero labels occur: each case records the certificate's
+JSON or that the build raised ``CertificateError``.  A hash says only
+that something changed, so one readable record per group names it.  A change
 that alters these answers on purpose updates the pin and says which
 records changed and why.
 """
@@ -21,12 +25,14 @@ from itertools import combinations
 import pytest
 
 from treedissim import (
+    CertificateError,
     DissimTensor,
     DistanceMatrix,
     FourPointViolation,
     InversionError,
     dissimilarity_map,
     distance_matrix,
+    build_certificate,
     four_point_check,
     invert3,
     membership3,
@@ -153,3 +159,33 @@ def test_golden_corpus(group):
     assert len(lines) == 7 * 2 * len(KINDS) * 2
     assert SAMPLES[group] in lines
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGESTS[group]
+
+
+def _certificate_records():
+    """One line per (tree, labels) case: the certificate or the refusal."""
+    lines = []
+    for n in range(3, 10):
+        for shape in ("uniform-topology", "caterpillar"):
+            rng = random.Random(f"golden certificates {n} {shape}")
+            for _ in range(2):
+                tree = random_tree(n, seed=rng.randrange(10**6), shape=shape)
+                edges = len(build_certificate(tree).edge_labels)
+                for labels in [None] + [[rng.randrange(4) for _ in range(edges)] for _ in range(4)]:
+                    try:
+                        rec = build_certificate(tree, label_values=labels).to_json_obj()
+                    except CertificateError:
+                        rec = "CertificateError"
+                    lines.append(f"{serialize_newick(tree)} labels={labels}: {json.dumps(rec)}")
+    return lines
+
+
+CERTIFICATE_DIGEST = "82ddd14a513d922eeb474ad61101ef2203dbd72ad89134474bd3bf2f0b26915b"
+# a zero label drops its term and still builds
+CERTIFICATE_SAMPLE = '(1:2,2:10,3:1/3); labels=[0, 2]: {"n": 3, "newick": "(1:2,2:10,3:1/3);", "tree_hash": "82a9b1a38519b1778896bc35fc27cdcdb21f632dc621a9a72a79df616170de7d", "E": "31/3", "edge_labels": {"1": 0, "2": 2}, "x_series": [[], [["20", "2"]], [["62/3", "1"]]], "matrix": [[[["8", "1"]], [["0", "1"]], [["31/3", "1"]]], [[], [["-10", "2"]], [["0", "1"]]], [[], [["-20", "4"]], [["-31/3", "1"]]]]}'
+
+
+def test_golden_certificate_labels():
+    lines = _certificate_records()
+    assert len(lines) == 7 * 2 * 2 * 5
+    assert CERTIFICATE_SAMPLE in lines
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CERTIFICATE_DIGEST

@@ -271,6 +271,23 @@ def test_build_runs_no_metric_scan(monkeypatch, n):
         assert verify_certificate(build_certificate(t), triple_dissimilarity(distance_matrix(t)))
 
 
+@pytest.mark.parametrize("shape", ["uniform-topology", "caterpillar"])
+def test_build_subtracts_no_series(monkeypatch, shape):
+    # the degree identity is read off the sibling labels, not checked by
+    # subtracting leaf series; verification still subtracts
+    real_sub = PuiseuxPoly.__sub__
+
+    def refuse(self, other):
+        raise AssertionError("series subtracted while building a certificate")
+
+    for n in range(3, 10):
+        t = random_tree(n, seed=n, shape=shape)
+        monkeypatch.setattr(PuiseuxPoly, "__sub__", refuse)
+        cert = build_certificate(t)
+        monkeypatch.setattr(PuiseuxPoly, "__sub__", real_sub)
+        assert verify_certificate(cert, triple_dissimilarity(distance_matrix(t)))
+
+
 @pytest.mark.parametrize(
     "tree,digest",
     [
@@ -328,6 +345,25 @@ class TestVerifyCertificate:
     def test_collision_caught_at_build_time_for_explicit_labels(self, quartet):
         with pytest.raises(CertificateError):
             build_certificate(quartet, label_values=[1, 2, 2, 4])
+
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            # equal labels on edges that are not siblings never meet in one difference
+            ([1, 1, 2, 2], None),
+            ([1, 2, 1, 2], None),
+            ([1, 2, 2, 4], r"^edge label 2 is on two sibling edges: x_2 - x_1 drops its leading term$"),
+            ([3, 1, 2, 3], r"^edge label 3 is on two sibling edges: x_3 - x_1 drops its leading term$"),
+        ],
+        ids=["1122", "1212", "1224", "3123"],
+    )
+    def test_only_sibling_labels_must_differ(self, quartet, quartet_dm, labels, message):
+        if message is None:
+            cert = build_certificate(quartet, label_values=labels)
+            assert verify_certificate(cert, triple_dissimilarity(quartet_dm))
+        else:
+            with pytest.raises(CertificateError, match=message):
+                build_certificate(quartet, label_values=labels)
 
     def test_single_zeroed_label_still_verifies(self, quartet, quartet_dm):
         # dropping one edge term entirely cannot cancel the other root

@@ -1,6 +1,7 @@
 """Smoke test: the example scripts run to completion and report the
 results they exist to show (they exit 0 whatever they print), and the
-per-layer timing script writes a figure for every layer."""
+per-layer timing script writes a figure for every layer in both tree
+shapes."""
 
 import json
 import os
@@ -63,7 +64,9 @@ def test_bench_layers_writes_every_layer(tmp_path):
     result = json.loads(out.read_text())
     assert result["python"] == platform.python_version()
     assert result["commit"]
-    assert len(result["layers"]) == 11
+    assert len(result["layers"]) == 22
+    uniform = [name for name in result["layers"] if not name.endswith(" [caterpillar]")]
+    assert sorted(result["layers"]) == sorted(uniform + [f"{name} [caterpillar]" for name in uniform])
     for sizes in result["layers"].values():
         assert sorted(sizes) == ["5", "6"]
         for cell in sizes.values():
